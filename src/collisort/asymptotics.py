@@ -370,8 +370,9 @@ def expected_opcount_deltas(n: int) -> ExpectedOpDeltas:
     total-inversion mean of a uniform permutation is exactly n(n-1)/4,
         = n^2/4 + 3n/4 - sqrt(pi n/2) + 5/3 - (11/24) sqrt(pi/(2n)) - 4/(135 n)
 
-    flag_writes_variant = 2 E[P]
-        = 2n - 2 sqrt(pi n/2) + 10/3 - (11/12) sqrt(pi/(2n)) - 8/(135 n)
+    flag_writes_variant = 2 E[P] - 1, since the variant writes its flag
+    2P - 1 times per run,
+        = 2n - 2 sqrt(pi n/2) + 7/3 - (11/12) sqrt(pi/(2n)) - 8/(135 n)
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -391,7 +392,7 @@ def expected_opcount_deltas(n: int) -> ExpectedOpDeltas:
     flags_variant = (
         2.0 * n
         - 2.0 * root_n
-        + 10.0 / 3.0
+        + 7.0 / 3.0
         - 11.0 / 12.0 * inv_root
         - 8.0 / (135.0 * n)
     )

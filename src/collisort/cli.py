@@ -121,6 +121,8 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
     n = args.n
     rows: list[dict] = []
     if t == "varrho":
+        if args.x is None:
+            raise ValueError("varrho target needs --x")
         value = asymptotics.scaled_pass_survival_expansion(n, args.x)
         row = {"target": t, "n": n, "x": args.x, "value": value}
         mf = args.x * math.sqrt(n)

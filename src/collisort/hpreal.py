@@ -14,6 +14,7 @@ eventually hi) underflows; err absorbs those losses, so values below
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -75,7 +76,13 @@ class HPReal:
     def from_int(value: int) -> "HPReal":
         if -9007199254740992 <= value <= 9007199254740992:  # |v| <= 2^53: exact
             return HPReal(float(value))
-        hi = float(value)
+        try:
+            hi = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"integer of {value.bit_length()} bits is outside the HPReal range: "
+                f"|value| must be at most {sys.float_info.max:.6g}, the largest double"
+            ) from None
         lo = float(value - int(hi))
         rem = value - int(hi) - int(lo)
         return HPReal(hi, lo, abs(float(rem)) * (1.0 + 1e-15))

@@ -21,12 +21,14 @@ from .poisson_approx import birthday_family, inversion_family, stein_chen_bound
 from .sorters import (
     ResourceBoundError,
     bubble_sort_instrumented,
+    opcounts_from_stats,
     permutation_from_inversion_table,
 )
 
 DEFAULT_SEED = 0x5EED_B0B5
 SORT_DIRECT_LIMIT = 24  # run real instrumented sorts up to this n
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12
+_CHUNK_BYTES = 8_000_000  # per-chunk occupancy bitmap or draw matrix
 
 LAW_KINDS = ("pass", "collision")
 MATCH_KINDS = ("birthday", "inversion")
@@ -95,61 +97,60 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     """Pass counts of uniform random permutations, via inversion tables.
 
     The pass count is max(table entry) + 1.  Columns are drawn in index
-    order; once every remaining support is no larger than the smallest
-    running maximum the tail columns provably cannot change any maximum
-    and are skipped.
+    order, and column i (support {0..n-i}) only for the rows whose running
+    maximum can still grow (max < n - i); a row is frozen as soon as it
+    cannot, since every later support is smaller still.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     rng = stream.generator()
     maxes = np.zeros(trials, dtype=np.int64)
+    active = np.arange(trials)
+    current = np.zeros(trials, dtype=np.int64)  # running maxima of the active rows
     for i in range(1, n + 1):
-        draws = rng.integers(0, n - i + 1, size=trials)
-        np.maximum(maxes, draws, out=maxes)
-        if n - i - 1 <= maxes.min():
-            break
+        grows = current < n - i
+        if not grows.all():
+            maxes[active[~grows]] = current[~grows]
+            active, current = active[grows], current[grows]
+            if not active.size:
+                break
+        np.maximum(current, rng.integers(0, n - i + 1, size=active.size), out=current)
     return maxes + 1
 
 
-def sample_collision_counts(
-    n: int, trials: int, stream: SeededStream, chunk: int | None = None
-) -> np.ndarray:
-    """First-collision counts for the birthday process on n days."""
+def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
+    """First-collision counts for the birthday process on n days.
+
+    Sequential occupancy: each chunk of rows keeps a rows x n bitmap, one
+    bit per (row, day), of the days seen so far.  Every step draws one day
+    for each unresolved row; a row whose day is already marked resolves at
+    that step, the others mark their day.  Each row draws exactly its C
+    values.
+    """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
     rng = stream.generator()
-    block = min(n + 1, int(_KS_GRID_FACTOR * math.sqrt(n)) + 8)
-    if chunk is None:  # keep the per-chunk draw matrix near 32 MB
-        chunk = max(1024, 8_000_000 // block)
+    row_bytes = (n + 7) // 8
+    # bitmap within _CHUNK_BYTES; at most _CHUNK_BYTES // 64 rows, which
+    # keeps the per-step int64 arrays near that size as well
+    chunk = max(1, _CHUNK_BYTES // max(row_bytes, 64))
     out = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        draws = rng.integers(0, n, size=(rows, block), dtype=np.int32)
-        c = _first_repeat_position(draws)
-        pending = np.flatnonzero(c < 0)
-        history = draws[pending]
-        while pending.size:  # pigeonhole resolves every row by width n+1
-            extra = rng.integers(0, n, size=(pending.size, block), dtype=np.int32)
-            history = np.concatenate([history, extra], axis=1)
-            c2 = _first_repeat_position(history)
-            solved = c2 >= 0
-            c[pending[solved]] = c2[solved]
-            pending = pending[~solved]
-            history = history[~solved]
-        out[done : done + rows] = c + 1
-        done += rows
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
+        seen = np.zeros(rows * row_bytes, dtype=np.uint8)
+        active = np.arange(rows)
+        step = 0
+        while active.size:  # pigeonhole: every row resolves by step n + 1
+            step += 1
+            days = rng.integers(0, n, size=active.size)
+            at = active * row_bytes + (days >> 3)  # rows never share a byte
+            bits = np.left_shift(1, days & 7).astype(np.uint8)
+            hit = (seen[at] & bits) != 0
+            out[start + active[hit]] = step
+            fresh = ~hit
+            active = active[fresh]
+            seen[at[fresh]] |= bits[fresh]
     return out
-
-
-def _first_repeat_position(draws: np.ndarray) -> np.ndarray:
-    """Per row: 0-based index of the first value seen before, or -1."""
-    order = np.argsort(draws, axis=1, kind="stable")
-    ranked = np.take_along_axis(draws, order, axis=1)
-    eq = ranked[:, 1:] == ranked[:, :-1]
-    later = np.where(eq, order[:, 1:], np.iinfo(np.int64).max)
-    first = later.min(axis=1)
-    return np.where(first == np.iinfo(np.int64).max, -1, first)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +179,8 @@ def _collision_exact_cdf(n: int, length: int) -> np.ndarray:
     return 1.0 - surv[1 : length + 1]
 
 
-def _ks_grid_length(kind: str, n: int) -> int:
-    reach = int(_KS_GRID_FACTOR * math.sqrt(n)) + 2
-    return min(n, reach) if kind == "pass" else min(n, reach)
+def _ks_grid_length(n: int) -> int:
+    return min(n, int(_KS_GRID_FACTOR * math.sqrt(n)) + 2)
 
 
 def exact_law_ks_vs_rayleigh(kind: str, n: int) -> float:
@@ -192,7 +192,7 @@ def exact_law_ks_vs_rayleigh(kind: str, n: int) -> float:
     if kind not in LAW_KINDS:
         raise ValueError(f"kind must be one of {LAW_KINDS}")
     sq = math.sqrt(n)
-    length = _ks_grid_length(kind, n)
+    length = _ks_grid_length(n)
     if kind == "pass":
         grid = np.arange(length) / sq  # x at deficit d
         exact_cdf = _pass_exact_cdf(n, length)
@@ -238,13 +238,13 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
     trials = int(tally.sum())
     sq = math.sqrt(n)
     if kind == "pass":
-        length = max(_ks_grid_length(kind, n), int(np.nonzero(tally)[0].max()) + 1)
+        length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()) + 1)
         length = min(length, tally.size)
         counts = tally[:length].astype(np.float64)  # deficits 0..length-1
         grid = np.arange(length) / sq
         exact_cdf = _pass_exact_cdf(n, length)
     else:
-        length = max(_ks_grid_length(kind, n), int(np.nonzero(tally)[0].max()))
+        length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()))
         length = min(length, tally.size - 1)
         counts = tally[1 : length + 1].astype(np.float64)  # j = 1..length
         grid = np.arange(1, length + 1) / sq
@@ -288,7 +288,7 @@ def empirical_law(kind: str, n: int, trials: int, stream: SeededStream) -> Empir
 
 
 def empirical_pair_matches(
-    kind: str, n: int, m: int, trials: int, stream: SeededStream, chunk: int = 200_000
+    kind: str, n: int, m: int, trials: int, stream: SeededStream
 ) -> EmpiricalSummary:
     """Sample the pairwise equal-value count among the first m+1 variables
     and measure total variation against the matched-mean Poisson law.
@@ -305,22 +305,17 @@ def empirical_pair_matches(
     mu = stein_chen_bound(family).mu
     cols = m + 1
     rng = stream.generator()
+    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # int64 draws
     tally = np.zeros(1 + cols * (cols - 1) // 2, dtype=np.int64)
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
         if kind == "birthday":
             draws = rng.integers(0, n, size=(rows, cols))
         else:
             draws = np.empty((rows, cols), dtype=np.int64)
             for i in range(1, cols + 1):
                 draws[:, i - 1] = rng.integers(0, n - i + 1, size=rows)
-        matches = np.zeros(rows, dtype=np.int64)
-        for a in range(cols):
-            for b in range(a + 1, cols):
-                matches += draws[:, a] == draws[:, b]
-        tally += np.bincount(matches, minlength=tally.size)
-        done += rows
+        tally += np.bincount(_pair_match_counts(draws), minlength=tally.size)
 
     probs = tally / trials
     support = np.arange(tally.size)
@@ -346,6 +341,23 @@ def empirical_pair_matches(
     )
 
 
+def _pair_match_counts(draws: np.ndarray) -> np.ndarray:
+    """Per row, the number of unordered column pairs holding equal values.
+
+    Sorts ``draws`` in place along its rows; a run of c equal values then
+    holds c(c-1)/2 pairs, summed as each member meets the earlier ones.
+    """
+    draws.sort(axis=1)
+    equal = draws[:, 1:] == draws[:, :-1]
+    run = np.zeros(draws.shape[0], dtype=np.int64)  # earlier members of the current run
+    matches = np.zeros_like(run)
+    for column in equal.T:
+        run += 1
+        run *= column
+        matches += run
+    return matches
+
+
 # ---------------------------------------------------------------------------
 # operation-count expectations
 # ---------------------------------------------------------------------------
@@ -368,10 +380,8 @@ def empirical_opcounts(
         reductions = np.empty(trials)
         flags_opt = np.empty(trials)
         flags_var = np.empty(trials)
-        for t in range(trials):
-            table = tuple(
-                int(rng.integers(0, n - i + 1)) for i in range(1, n + 1)
-            )
+        tables = rng.integers(0, np.arange(n, 0, -1), size=(trials, n))
+        for t, table in enumerate(tables.tolist()):
             perm = permutation_from_inversion_table(table)
             _, plain = bubble_sort_instrumented(perm, "plain")
             _, early = bubble_sort_instrumented(perm, "early_exit")
@@ -387,11 +397,12 @@ def empirical_opcounts(
             np.maximum(maxes, draws, out=maxes)
             sums += draws
         passes = maxes + 1
-        plain_cmp = n * (n - 1) // 2
-        early_cmp = n * passes - passes * (passes + 1) // 2
-        reductions = (plain_cmp - early_cmp).astype(np.float64)
-        flags_opt = (passes + sums).astype(np.float64)
-        flags_var = (2 * passes - 1).astype(np.float64)
+        plain = opcounts_from_stats(n, passes, sums, "plain")
+        early = opcounts_from_stats(n, passes, sums, "early_exit")
+        variant = opcounts_from_stats(n, passes, sums, "early_exit_variant")
+        reductions = (plain.comparisons - early.comparisons).astype(np.float64)
+        flags_opt = early.bool_assignments.astype(np.float64)
+        flags_var = variant.bool_assignments.astype(np.float64)
 
     def summary(name: str, values: np.ndarray) -> EmpiricalSummary:
         mean = float(values.mean())

@@ -34,16 +34,25 @@ class ResourceBoundError(Exception):
 
 @dataclass(frozen=True)
 class OpCounts:
+    """Counts of one run; fields may also be equal-shape integer arrays of
+    many runs, as ``opcounts_from_stats`` gives for array arguments."""
+
     comparisons: int
     swaps: int
     bool_assignments: int
     passes: int
 
     def __post_init__(self):
-        if min(self.comparisons, self.swaps, self.bool_assignments, self.passes) < 0:
+        c, s, b, p = self.comparisons, self.swaps, self.bool_assignments, self.passes
+        if _any((c < 0) | (s < 0) | (b < 0) | (p < 0)):
             raise ValueError("operation counts must be nonnegative")
-        if self.swaps > self.comparisons:
+        if _any(s > c):
             raise ValueError("swaps cannot exceed comparisons")
+
+
+def _any(flags) -> bool:
+    """A comparison's truth: a bool, or any element of a boolean array."""
+    return flags if flags.__class__ is bool else bool(flags.any())
 
 
 def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:

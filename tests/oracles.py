@@ -1,13 +1,15 @@
 """Independent high-precision oracles used across the test suite.
 
-Everything here is exact rational arithmetic (series summed in Fraction),
-deliberately sharing no code path with the package's double-double
-evaluations.
+Everything here is exact rational arithmetic (series summed in Fraction)
+or a literal definition (every column pair compared), deliberately sharing
+no code path with the package's double-double evaluations and samplers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def atan_frac(x: Fraction, terms: int = 80) -> Fraction:
@@ -71,3 +73,14 @@ def erfi_series_frac(x: Fraction, terms: int = 60) -> Fraction:
             den *= i
         total += num / (den * (2 * k + 1))
     return total
+
+
+def pair_match_counts_by_columns(draws):
+    """Per row of a 2-D integer array: unordered column pairs holding equal
+    values, by comparing every pair of columns (O(m^2) column passes)."""
+    rows, cols = draws.shape
+    matches = np.zeros(rows, dtype=np.int64)
+    for a in range(cols):
+        for b in range(a + 1, cols):
+            matches += draws[:, a] == draws[:, b]
+    return matches

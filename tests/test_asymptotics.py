@@ -307,14 +307,21 @@ def test_opcount_reduction_matches_exact_moments():
 
 
 def test_opcount_flag_writes_match_exact_expectations():
-    # flag writes: E(P) + n(n-1)/4 for the early exit, 2 E(P) for the variant
+    # flag writes of the early exit: E(P) + n(n-1)/4
     n = 10**4
     deltas = expected_opcount_deltas(n)
     expected_passes = n - math.sqrt(n) * float(exact.scaled_pass_moment(n, 1))
     assert deltas.flag_writes_early_exit == pytest.approx(
         expected_passes + n * (n - 1) / 4.0, abs=1e-2
     )
-    assert deltas.flag_writes_variant == pytest.approx(2.0 * expected_passes, abs=1e-2)
+
+
+@pytest.mark.parametrize("n", [24, 100, 10**4])
+def test_opcount_variant_flag_writes_are_two_passes_minus_one(n):
+    # the variant writes its flag 2P - 1 times per run (OPS-FLAGS-VARIANT-N8)
+    expected_passes = n - math.sqrt(n) * float(exact.scaled_pass_moment(n, 1))
+    deltas = expected_opcount_deltas(n)
+    assert deltas.flag_writes_variant == pytest.approx(2.0 * expected_passes - 1.0, abs=1e-2)
 
 
 def test_net_cost_positive_for_both_variants():

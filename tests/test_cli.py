@@ -141,6 +141,15 @@ def test_usage_error_exit_code(capsys):
     assert json.loads(err)["kind"] == "usage"
 
 
+def test_approx_varrho_without_x_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "approx", "varrho", "--n", "10000")
+    assert code == EXIT_USAGE
+    assert "Traceback" not in out + err
+    payload = json.loads(err)
+    assert payload["kind"] == "usage"
+    assert "--x" in payload["error"]
+
+
 def test_argparse_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "bogus-target", "--n", "10"])

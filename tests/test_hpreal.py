@@ -125,6 +125,13 @@ def test_decimal_string_digits():
     assert s.startswith("0.3333333333333333333333333")
 
 
+def test_int_beyond_double_range_is_domain_error():
+    for value in (10**400, -(10**400), 2**1024):
+        with pytest.raises(ValueError, match="outside the HPReal range"):
+            hp(value)
+    assert float(hp(2**1023)) == 2.0**1023
+
+
 def test_exp_overflow_guard():
     with pytest.raises(OverflowError):
         hp(800.0).exp()

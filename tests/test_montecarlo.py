@@ -7,7 +7,9 @@ import pytest
 
 from collisort import exact
 from collisort.montecarlo import (
+    DEFAULT_SEED,
     SeededStream,
+    _pair_match_counts,
     empirical_law,
     empirical_opcounts,
     empirical_pair_matches,
@@ -22,6 +24,7 @@ from collisort.montecarlo import (
 )
 from collisort.poisson_approx import birthday_family, stein_chen_bound
 from collisort.sorters import ResourceBoundError, check_inversion_table
+from oracles import pair_match_counts_by_columns
 
 
 # -- determinism ---------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_pass_law_frequencies_vs_enumeration():
     from collisort.sorters import enumerate_pass_distribution
 
     trials = 10**6
-    for n in (3, 5, 7):
+    for n in (1, 2, 3, 5, 7):
         law = enumerate_pass_distribution(n)
         samples = sample_pass_counts(n, trials, SeededStream(77, n))
         counts = np.bincount(samples, minlength=n + 1)
@@ -128,6 +131,20 @@ def test_pass_law_frequencies_vs_enumeration():
             expected = float(prob) * trials
             sigma = math.sqrt(float(prob) * (1.0 - float(prob)) * trials)
             assert abs(counts[passes] - expected) <= 5.0 * sigma
+
+
+def test_collision_law_frequencies_vs_exact():
+    # multinomial 5-sigma envelope at one million trials:
+    # P{C = k} = P{C > k-1} - P{C > k}, with P{C > m+1} = collision_sf(n, m)
+    trials = 10**6
+    for n in (1, 2, 3, 5):
+        samples = sample_collision_counts(n, trials, SeededStream(78, n))
+        counts = np.bincount(samples, minlength=n + 2)
+        assert counts.sum() == trials and counts[:2].sum() == 0
+        for k in range(2, n + 2):
+            prob = float(exact.collision_sf_fraction(n, k - 2) - exact.collision_sf_fraction(n, k - 1))
+            sigma = math.sqrt(prob * (1.0 - prob) * trials)
+            assert abs(counts[k] - prob * trials) <= 5.0 * sigma
 
 
 def test_empirical_law_ks_below_critical():
@@ -164,6 +181,29 @@ def test_empirical_means_converge_to_rayleigh_mean():
 
 
 # -- pairwise-match summaries ---------------------------------------------------------
+
+
+def test_pair_match_counts_equal_column_pair_oracle():
+    fixed = np.array([
+        [0, 1, 2, 3, 4],  # all distinct
+        [7, 7, 7, 7, 7],  # all equal: 10 pairs
+        [3, 1, 3, 2, 3],  # a triple: 3 pairs
+        [5, 2, 5, 2, 9],  # two doubles
+        [4, 4, 4, 1, 1],  # a triple and a double
+    ])
+    rng = np.random.default_rng(3)
+    for draws in (fixed, rng.integers(0, 4, size=(500, 9)), rng.integers(0, 50, size=(500, 23)),
+                  rng.integers(0, 3, size=(50, 1))):
+        expected = pair_match_counts_by_columns(draws)
+        assert np.array_equal(_pair_match_counts(draws.copy()), expected)
+    assert _pair_match_counts(fixed.copy()).tolist() == [0, 10, 3, 2, 4]
+
+
+def test_pair_matches_birthday_draws_unchanged():
+    # the sort-based counter sees the same draws as the column-pair loop did
+    summary = empirical_pair_matches("birthday", 365, 22, 10**6, SeededStream(DEFAULT_SEED))
+    assert summary.mean == 0.694491
+    assert summary.tv_distance == 0.01901767313459823
 
 
 def test_pair_matches_zero_depth():
