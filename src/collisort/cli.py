@@ -59,12 +59,10 @@ def _cmd_exact(args) -> tuple[list[dict], int]:
         rows.append({"target": t, "n": args.n, "m": args.m,
                      **_hp_columns(exact.pass_cdf(args.n, args.m))})
     elif t == "series":
-        rows.append({"target": "collision-sf-series", "n": args.n, "m": args.m,
-                     "depth": args.depth,
-                     **_hp_columns(exact.collision_sf_series(args.n, args.m, args.depth))})
-        rows.append({"target": "pass-cdf-series", "n": args.n, "m": args.m,
-                     "depth": args.depth,
-                     **_hp_columns(exact.pass_cdf_series(args.n, args.m, args.depth))})
+        for target, series in (("collision-sf-series", exact.collision_sf_series),
+                               ("pass-cdf-series", exact.pass_cdf_series)):
+            rows.append({"target": target, "n": args.n, "m": args.m, "depth": args.depth,
+                         **_hp_columns(series(args.n, args.m, args.depth))})
     elif t == "sandwich":
         lower, upper = exact.sandwich_bounds(args.n, args.m)
         mid = exact.pass_cdf(args.n, args.m)
@@ -229,7 +227,7 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
     if args.target == "law":
         summary = montecarlo.empirical_law(args.kind, args.n, args.trials, stream)
         row = _summary_row(summary)
-        crit = 1.63 / math.sqrt(args.trials)
+        crit = montecarlo.ks_critical_1pct(args.trials)
         row["ks_critical_1pct"] = crit
         row["seed"] = args.seed
         rows.append(row)
@@ -237,37 +235,24 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
             code = EXIT_FAILURE
     elif args.target == "delta":
         summary = montecarlo.empirical_pair_matches(args.kind, args.n, args.m, args.trials, stream)
-        family = (
-            poisson_approx.birthday_family(args.n, args.m)
-            if args.kind == "birthday"
-            else poisson_approx.inversion_family(args.n, args.m)
-        )
+        family = poisson_approx.match_family(args.kind, args.n, args.m)
         bound = poisson_approx.stein_chen_bound(family).tv_bound
         row = _summary_row(summary)
         row["tv_bound"] = bound
-        row["within_bound"] = bool(summary.tv_distance <= bound + 3.0 * summary.tv_se)
+        row["within_bound"] = bool(summary.tv_distance <= montecarlo.tv_limit(bound, summary.tv_se))
         row["seed"] = args.seed
         rows.append(row)
         if args.check and not row["within_bound"]:
             code = EXIT_FAILURE
     elif args.target == "opcounts":
         counters = montecarlo.empirical_opcounts(args.n, args.trials, stream)
-        deltas = asymptotics.expected_opcount_deltas(args.n)
-        refs = {
-            "comparison_reduction": deltas.comparison_reduction,
-            "flag_writes_early_exit": deltas.flag_writes_early_exit,
-            "flag_writes_variant": deltas.flag_writes_variant,
-        }
-        for name in sorted(refs):
-            summary = counters[name]
-            row = _summary_row(summary)
-            row["expected"] = refs[name]
-            row["deviation_se"] = (
-                abs(summary.mean - refs[name]) / summary.se_mean if summary.se_mean else 0.0
-            )
+        deviations = montecarlo.opcount_deviations(args.n, counters)
+        for name in sorted(deviations):
+            row = _summary_row(counters[name])
+            row["expected"], row["deviation_se"] = deviations[name]
             row["seed"] = args.seed
             rows.append(row)
-            if args.check and row["deviation_se"] > 4.0:
+            if args.check and row["deviation_se"] > montecarlo.OPCOUNT_SE:
                 code = EXIT_FAILURE
     else:
         raise ValueError(f"unknown simulate target {args.target!r}")

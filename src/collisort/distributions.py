@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hpreal import HPReal, PI, hp
+from .hpreal import hp
 
 SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -130,29 +130,6 @@ def erfi(x: float) -> float:
         if k > 400:  # unreachable within the guarded range
             raise RuntimeError("erfi series failed to converge")
     return float(total * _TWO_OVER_SQRT_PI)
-
-
-def erfi_hp(x: float) -> HPReal:
-    """erfi at double-double precision (used by characteristic functions)."""
-    if abs(x) > ERFI_MAX_ARG:
-        raise ValueError(f"erfi supported for |x| <= {ERFI_MAX_ARG}, got {x}")
-    if x == 0.0:
-        return hp(0.0)
-    sign = 1.0
-    if x < 0.0:
-        sign, x = -1.0, -x
-    xx = hp(x) * x
-    term = hp(x)
-    total = hp(x)
-    k = 1
-    while True:
-        term = term * xx / k
-        contrib = term / (2 * k + 1)
-        total = total + contrib
-        if abs(contrib.hi) <= 1e-34 * abs(total.hi):
-            break
-        k += 1
-    return total * 2.0 / PI.sqrt() * sign
 
 
 def normal_cdf_imag(t: float) -> complex:

@@ -8,8 +8,9 @@ the finite product forms
     collision survival  P{C_n > m+1} = prod_{k=1..m} (1 - k/n)
     pass-count CDF      P{P_n <= n-m} = prod_{k=1..m} (1 - k/(n-m+k))
 
-plus log-series forms that extend the collision survival to non-integer
-year lengths.
+The collision product also runs factor by factor at a real year length n,
+as the shifted estimator needs; log-series forms give both laws at any
+truncation depth.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def collision_sf(n: int, m: int) -> HPReal:
 
     The product prod_{k=1..m} (1 - k/n) is grouped as the exact integer
     ratio (n-1)...(n-m) / n^m when that fits float range (one rounding
-    step); otherwise it is accumulated factor by factor.  Empty product 1
-    at m=0; exactly 0 once m >= n (pigeonhole).
+    step); otherwise it is the falling product of collision_survival_sequence.
+    Empty product 1 at m=0; exactly 0 once m >= n (pigeonhole).
     """
     if n < 1 or m < 0:
         raise ValueError("collision_sf needs n >= 1 and m >= 0")
@@ -79,11 +80,7 @@ def collision_sf(n: int, m: int) -> HPReal:
         for k in range(1, m + 1):
             num *= n - k
         return HPReal.from_int(num) / HPReal.from_int(n ** m)
-    prod = hp(1.0)
-    n_hp = hp(n)
-    for k in range(1, m + 1):
-        prod = prod * (hp(n - k) / n_hp)
-    return prod
+    return _falling_product(n, m)
 
 
 def pass_cdf(n: int, m: int) -> HPReal:
@@ -136,40 +133,13 @@ def pass_cdf_fraction(n: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _series_exponent_terms(m: int, base: Fraction, alternating: bool, depth: int):
-    """Exact terms power_sum(k, m) / (sign_k * k * base^k), k = 1..depth."""
-    terms = []
-    bp = Fraction(1)
-    for k in range(1, depth + 1):
-        bp *= base
-        t = Fraction(power_sum(k, m)) / (k * bp)
-        if alternating:
-            t = t if k % 2 == 0 else -t
-        else:
-            t = -t
-        terms.append(t)
-    return terms
+def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPReal:
+    """exp of the log series sum_k -+ power_sum(k, m) / (k base^k), k = 1..depth.
 
-
-def _auto_depth(m: int, base: Fraction) -> int:
-    """Smallest depth whose next term is below 1e-16 of the partial sum."""
-    total = Fraction(0)
-    bp = Fraction(1)
-    for k in range(1, SERIES_MAX_DEPTH + 1):
-        bp *= base
-        term = Fraction(power_sum(k, m)) / (k * bp)
-        total += term
-        nxt = Fraction(power_sum(k + 1, m)) / ((k + 1) * bp * base)
-        if total and abs(nxt) < Fraction(1, 10 ** 16) * abs(total):
-            return k
-    return SERIES_MAX_DEPTH
-
-
-def collision_sf_series(n: float, m: int, depth: int | None = None) -> HPReal:
-    """Collision survival via exp of the truncated log series.
-
-    Accepts non-integer year length n (the shifted estimators need it);
-    reduces to the product form for integer n as depth grows.
+    The collision series has base n and all terms negative; the pass
+    series has base n - m and alternates, starting negative.  With depth
+    None the sum stops before the first term whose magnitude is below
+    1e-16 of the summed magnitudes before it.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -177,34 +147,38 @@ def collision_sf_series(n: float, m: int, depth: int | None = None) -> HPReal:
         raise ValueError(f"series form requires n > m, got n={n}, m={m}")
     if m == 0:
         return hp(1.0)
-    base = Fraction(n)
-    if depth is None:
-        depth = _auto_depth(m, base)
-    if not 1 <= depth <= SERIES_MAX_DEPTH:
+    if depth is not None and not 1 <= depth <= SERIES_MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{SERIES_MAX_DEPTH}")
+    base = Fraction(n) - m if alternating else Fraction(n)
     exponent = hp(0.0)
-    for t in _series_exponent_terms(m, base, alternating=False, depth=depth):
-        exponent = exponent + HPReal.from_fraction(t)
+    magnitude = Fraction(0)
+    bp = Fraction(1)
+    for k in range(1, (depth or SERIES_MAX_DEPTH) + 1):
+        bp *= base
+        term = Fraction(power_sum(k, m)) / (k * bp)
+        if depth is None and term < Fraction(1, 10 ** 16) * magnitude:
+            return exponent.exp()
+        magnitude += term
+        exponent = exponent + HPReal.from_fraction(term if alternating and k % 2 == 0 else -term)
+    if depth is None:
+        raise ValueError(f"the {'pass-count' if alternating else 'collision'} log series does "
+                         f"not converge within {SERIES_MAX_DEPTH} terms at n={n}, m={m}; "
+                         "give an explicit depth or use the product form")
     return exponent.exp()
+
+
+def collision_sf_series(n: float, m: int, depth: int | None = None) -> HPReal:
+    """Collision survival via exp of the truncated log series.
+
+    Accepts non-integer year length n; reduces to the product form for
+    integer n as depth grows.
+    """
+    return _series_form(n, m, depth, alternating=False)
 
 
 def pass_cdf_series(n: float, m: int, depth: int | None = None) -> HPReal:
     """Pass-count CDF via exp of the truncated alternating log series."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not n > m:
-        raise ValueError(f"series form requires n > m, got n={n}, m={m}")
-    if m == 0:
-        return hp(1.0)
-    base = Fraction(n) - m
-    if depth is None:
-        depth = _auto_depth(m, base)
-    if not 1 <= depth <= SERIES_MAX_DEPTH:
-        raise ValueError(f"depth must be in 1..{SERIES_MAX_DEPTH}")
-    exponent = hp(0.0)
-    for t in _series_exponent_terms(m, base, alternating=True, depth=depth):
-        exponent = exponent + HPReal.from_fraction(t)
-    return exponent.exp()
+    return _series_form(n, m, depth, alternating=True)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +213,8 @@ def relative_error_common(n: int, m: int) -> EstimateReport:
 
 
 def relative_error_shifted(n: int, m: int) -> EstimateReport:
-    """Error of the collision estimate at shifted year length n - (m-1)/3.
+    """Error of the collision estimate at shifted year length n - (m-1)/3,
+    the product form evaluated at that real year length.
 
     Asymptotically -(m-1)m(m+1)(m+2)(2m+1) / (270 (n - (4m-1)/6)^4).
     """
@@ -251,7 +226,7 @@ def relative_error_shifted(n: int, m: int) -> EstimateReport:
     denom = pass_cdf(n, m)
     if float(denom) == 0.0:
         raise ZeroDivisionError("pass_cdf vanished; ratio undefined")
-    ratio = collision_sf_series(shifted, m) / denom
+    ratio = _falling_product(shifted, m) / denom
     formula = (
         -(m - 1) * m * (m + 1) * (m + 2) * (2 * m + 1)
         / (270.0 * (n - (4 * m - 1) / 6.0) ** 4)
@@ -301,8 +276,13 @@ def pass_survival_sequence(n: int, floor: float = SURVIVAL_FLOOR):
         m += 1
 
 
-def collision_survival_sequence(n: int, floor: float = SURVIVAL_FLOOR):
-    """Yield (m, P{C_n > m+1}) for m = 0, 1, ... until below ``floor``."""
+def collision_survival_sequence(n: float, floor: float = SURVIVAL_FLOOR):
+    """Yield (m, P{C_n > m+1}) for m = 0, 1, ... until below ``floor``.
+
+    Each value is the falling product prod_{k=1..m} (1 - k/n), one factor
+    (n-k)/n per step.  n may be any real year length: for float n < 2^53
+    every n - k is exact, so each factor is rounded once.
+    """
     sf = hp(1.0)
     m = 0
     while m < n:
@@ -313,13 +293,17 @@ def collision_survival_sequence(n: int, floor: float = SURVIVAL_FLOOR):
         m += 1
 
 
-@lru_cache(maxsize=256)
-def scaled_pass_moment(n: int, k: int) -> HPReal:
-    """k-th moment of (n - P_n)/sqrt(n), by Abel-transformed summation.
+def _falling_product(n: float, m: int) -> HPReal:
+    """prod_{k=1..m} (1 - k/n) for 0 <= m < n, factor by factor."""
+    return next(sf for j, sf in collision_survival_sequence(n, floor=0.0) if j == m)
 
-    E = (-1/sqrt n)^k + sum_m ((m/sqrt n)^k - ((m-1)/sqrt n)^k) * rho(m)
-    with rho(m) = P{P_n <= n-m}; the tail below the survival floor is
-    bounded by telescoping and folded into the err field.
+
+def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
+    """k-th moment of X on the lattice x_j = j/sqrt(n) by Abel summation, from
+    ``survival(n)``, which yields (m, S_m = P{X >= x_(m+first)}) with S_0 = 1:
+        E X^k = x_(first-1)^k + sum_m (x_(m+first)^k - x_(m+first-1)^k) S_m.
+    The tail below the survival floor telescopes below floor * max(x)^k,
+    which is folded into the err field.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -328,18 +312,28 @@ def scaled_pass_moment(n: int, k: int) -> HPReal:
     if k == 0:
         return hp(1.0)
     inv_sqrt_n = hp(1.0) / hp(n).sqrt()
-    total = (-inv_sqrt_n).pow_int(k)
+    total = (-inv_sqrt_n).pow_int(k) if first == 0 else hp(0.0)
+    xk_prev = (inv_sqrt_n * (first - 1)).pow_int(k)
     truncated = False
-    for m, rho in pass_survival_sequence(n):
-        xk = (inv_sqrt_n * m).pow_int(k)
-        xk_prev = (inv_sqrt_n * (m - 1)).pow_int(k)
-        total = total + (xk - xk_prev) * rho
+    for m, s in survival(n):
+        xk = (inv_sqrt_n * (m + first)).pow_int(k)
+        total = total + (xk - xk_prev) * s
+        xk_prev = xk
         truncated = m < n - 1
     if truncated:
-        # remaining terms telescope below the survival floor times max(x)^k
         tail = SURVIVAL_FLOOR * float(n) ** (k / 2.0)
         total = HPReal(total.hi, total.lo, total.err + tail)
     return total
+
+
+@lru_cache(maxsize=256)
+def scaled_pass_moment(n: int, k: int) -> HPReal:
+    """k-th moment of (n - P_n)/sqrt(n), by Abel-transformed summation.
+
+    E = (-1/sqrt n)^k + sum_m ((m/sqrt n)^k - ((m-1)/sqrt n)^k) * rho(m)
+    with rho(m) = P{P_n <= n-m}.
+    """
+    return _abel_moment(n, k, pass_survival_sequence, first=0)
 
 
 def scaled_pass_variance(n: int) -> HPReal:
@@ -379,22 +373,4 @@ def scaled_collision_moment(n: int, k: int) -> HPReal:
     E = sum_{j=1..n} ((j/sqrt n)^k - ((j-1)/sqrt n)^k) * P{C_n > j}
     with P{C_n > j} = collision_sf(n, j-1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= k <= 8:
-        raise ValueError("moment order supported for 0 <= k <= 8")
-    if k == 0:
-        return hp(1.0)
-    inv_sqrt_n = hp(1.0) / hp(n).sqrt()
-    total = hp(0.0)
-    truncated = False
-    for m, sf in collision_survival_sequence(n):
-        j = m + 1  # survival P{C > j} = collision_sf(n, j-1)
-        xk = (inv_sqrt_n * j).pow_int(k)
-        xk_prev = (inv_sqrt_n * (j - 1)).pow_int(k)
-        total = total + (xk - xk_prev) * sf
-        truncated = m < n - 1
-    if truncated:
-        tail = SURVIVAL_FLOOR * float(n) ** (k / 2.0)
-        total = HPReal(total.hi, total.lo, total.err + tail)
-    return total
+    return _abel_moment(n, k, collision_survival_sequence, first=1)

@@ -55,6 +55,10 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
+_OUT_OF_RANGE = ("is outside the HPReal range: |value| must be at most "
+                 f"{sys.float_info.max:.6g}, the largest double")
+
+
 class HPReal:
     """hi + lo double-double value with absolute error bound ``err``."""
 
@@ -79,17 +83,18 @@ class HPReal:
         try:
             hi = float(value)
         except OverflowError:
-            raise ValueError(
-                f"integer of {value.bit_length()} bits is outside the HPReal range: "
-                f"|value| must be at most {sys.float_info.max:.6g}, the largest double"
-            ) from None
+            raise ValueError(f"integer of {value.bit_length()} bits {_OUT_OF_RANGE}") from None
         lo = float(value - int(hi))
         rem = value - int(hi) - int(lo)
         return HPReal(hi, lo, abs(float(rem)) * (1.0 + 1e-15))
 
     @staticmethod
     def from_fraction(value: Fraction) -> "HPReal":
-        hi = float(value)
+        try:
+            hi = float(value)
+        except OverflowError:
+            bits = value.numerator.bit_length() - value.denominator.bit_length()
+            raise ValueError(f"fraction of about {bits} bits {_OUT_OF_RANGE}") from None
         r = value - Fraction(hi)
         lo = float(r)
         rem = r - Fraction(lo)
@@ -302,7 +307,6 @@ class HPReal:
 
 LN2 = HPReal(0.6931471805599453, 2.3190468138462996e-17)
 PI = HPReal(3.141592653589793, 1.2246467991473532e-16)
-TWO_PI = HPReal(6.283185307179586, 2.4492935982947064e-16)
 
 
 def hp(value) -> HPReal:

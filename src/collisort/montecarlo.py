@@ -15,9 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import exact
-from .distributions import PoissonLaw, poisson_pmf_vector
-from .poisson_approx import birthday_family, inversion_family, stein_chen_bound
+from . import asymptotics, exact
+from .poisson_approx import match_family, stein_chen_bound, tv_distance_to_poisson
 from .sorters import (
     ResourceBoundError,
     bubble_sort_instrumented,
@@ -158,25 +157,25 @@ def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _pass_exact_cdf(n: int, length: int) -> np.ndarray:
-    """F at lattice deficits d = 0..length-1: P{n - P <= d} = 1 - P{P <= n-d-1}."""
-    surv = np.zeros(length + 1)
-    for m, rho in exact.pass_survival_sequence(n):
-        if m > length:
-            break
-        surv[m] = float(rho)
-    cdf = 1.0 - surv[1 : length + 1]
-    return cdf
+# lattice of each scaled statistic: its survival sequence yields
+# (m, P{value >= m + first}) for lattice values first, first + 1, ...
+_LATTICES = {
+    "pass": (exact.pass_survival_sequence, 0),  # deficit d = n - P
+    "collision": (exact.collision_survival_sequence, 1),  # j = C - 1
+}
 
 
-def _collision_exact_cdf(n: int, length: int) -> np.ndarray:
-    """F at lattice j = 1..length: P{C - 1 <= j} = 1 - collision_sf(n, j)."""
+def _exact_lattice(kind: str, n: int, length: int):
+    """At the first ``length`` lattice values v: the points v/sqrt(n), the exact
+    CDF P{value <= v} = 1 - P{value >= v + 1} and the standard Rayleigh CDF."""
+    survival, first = _LATTICES[kind]
     surv = np.zeros(length + 1)
-    for m, sf in exact.collision_survival_sequence(n):
+    for m, s in survival(n):
         if m > length:
             break
-        surv[m] = float(sf)
-    return 1.0 - surv[1 : length + 1]
+        surv[m] = float(s)
+    grid = np.arange(first, first + length) / math.sqrt(n)
+    return grid, 1.0 - surv[1 : length + 1], -np.expm1(-grid * grid / 2.0)
 
 
 def _ks_grid_length(n: int) -> int:
@@ -191,15 +190,7 @@ def exact_law_ks_vs_rayleigh(kind: str, n: int) -> float:
     """
     if kind not in LAW_KINDS:
         raise ValueError(f"kind must be one of {LAW_KINDS}")
-    sq = math.sqrt(n)
-    length = _ks_grid_length(n)
-    if kind == "pass":
-        grid = np.arange(length) / sq  # x at deficit d
-        exact_cdf = _pass_exact_cdf(n, length)
-    else:
-        grid = np.arange(1, length + 1) / sq  # z at j
-        exact_cdf = _collision_exact_cdf(n, length)
-    rayleigh_cdf = -np.expm1(-grid * grid / 2.0)
+    _, exact_cdf, rayleigh_cdf = _exact_lattice(kind, n, _ks_grid_length(n))
     return float(np.max(np.abs(exact_cdf - rayleigh_cdf)))
 
 
@@ -236,24 +227,15 @@ def merge_tallies(tallies: Iterable[np.ndarray]) -> np.ndarray:
 def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummary:
     """Summary statistics plus KS distances computed from a lattice tally."""
     trials = int(tally.sum())
-    sq = math.sqrt(n)
-    if kind == "pass":
-        length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()) + 1)
-        length = min(length, tally.size)
-        counts = tally[:length].astype(np.float64)  # deficits 0..length-1
-        grid = np.arange(length) / sq
-        exact_cdf = _pass_exact_cdf(n, length)
-    else:
-        length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()))
-        length = min(length, tally.size - 1)
-        counts = tally[1 : length + 1].astype(np.float64)  # j = 1..length
-        grid = np.arange(1, length + 1) / sq
-        exact_cdf = _collision_exact_cdf(n, length)
+    first = _LATTICES[kind][1]
+    length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()) + 1 - first)
+    length = min(length, tally.size - first)
+    counts = tally[first : first + length].astype(np.float64)
+    grid, exact_cdf, rayleigh_cdf = _exact_lattice(kind, n, length)
     leftover = trials - counts.sum()
     if leftover:  # values beyond the scan window (possible only for tiny n)
         counts[-1] += leftover
     ecdf = np.cumsum(counts) / trials
-    rayleigh_cdf = -np.expm1(-grid * grid / 2.0)
     ks_exact = float(np.max(np.abs(ecdf - exact_cdf)))
     ks_ray = float(np.max(np.abs(ecdf - rayleigh_cdf)))
 
@@ -301,8 +283,7 @@ def empirical_pair_matches(
         raise ResourceBoundError(
             f"pair-match simulation of {(m + 1) * trials} draws exceeds the resource bound"
         )
-    family = birthday_family(n, m) if kind == "birthday" else inversion_family(n, m)
-    mu = stein_chen_bound(family).mu
+    mu = stein_chen_bound(match_family(kind, n, m)).mu
     cols = m + 1
     rng = stream.generator()
     chunk = max(1, _CHUNK_BYTES // (8 * cols))  # int64 draws
@@ -321,11 +302,7 @@ def empirical_pair_matches(
     support = np.arange(tally.size)
     mean = float(support @ probs)
     var = float(((support - mean) ** 2) @ probs)
-    pmf = {int(k): float(p) for k, p in zip(support, probs) if p}
-    kmax = max(pmf) if pmf else 0
-    qs = poisson_pmf_vector(PoissonLaw(mu), kmax)
-    acc = sum(abs(pmf.get(k, 0.0) - qs[k]) for k in range(kmax + 1))
-    tv = 0.5 * (acc + max(0.0, 1.0 - sum(qs)))
+    tv = tv_distance_to_poisson({int(k): float(p) for k, p in zip(support, probs) if p}, mu)
     tv_se = 0.5 * math.sqrt(float(np.sum(probs * (1.0 - probs))) / trials)
     return EmpiricalSummary(
         kind=kind,
@@ -422,3 +399,32 @@ def empirical_opcounts(
         "flag_writes_early_exit": summary("flag_writes_early_exit", flags_opt),
         "flag_writes_variant": summary("flag_writes_variant", flags_var),
     }
+
+
+# ---------------------------------------------------------------------------
+# tolerances of the statistical checks
+# ---------------------------------------------------------------------------
+
+TV_BOUND_SE = 3.0  # sampled TV may exceed the Stein-Chen bound by this many se
+OPCOUNT_SE = 4.0  # sampled opcount means may miss the expansions by this many se
+
+
+def ks_critical_1pct(trials: int) -> float:
+    """Asymptotic 1% critical value of the one-sample KS statistic."""
+    return 1.63 / math.sqrt(trials)
+
+
+def tv_limit(bound: float, tv_se: float) -> float:
+    """Largest sampled TV distance consistent with a Stein-Chen ``bound``."""
+    return bound + TV_BOUND_SE * tv_se
+
+
+def opcount_deviations(n: int, counters: dict) -> dict[str, tuple[float, float]]:
+    """Per counter of empirical_opcounts: (expected value from
+    asymptotics.expected_opcount_deltas, |mean - expected| in standard errors)."""
+    deltas = asymptotics.expected_opcount_deltas(n)
+    out = {}
+    for name, s in counters.items():
+        target = getattr(deltas, name)
+        out[name] = (target, abs(s.mean - target) / s.se_mean if s.se_mean else 0.0)
+    return out

@@ -132,6 +132,15 @@ def inversion_family(n: int, m: int) -> DissociatedFamily:
     )
 
 
+def match_family(kind: str, n: int, m: int) -> DissociatedFamily:
+    """The family of a match kind: "birthday" draws or "inversion" table entries."""
+    if kind == "birthday":
+        return birthday_family(n, m)
+    if kind == "inversion":
+        return inversion_family(n, m)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def stein_chen_bound(family: DissociatedFamily) -> SteinChenReport:
     """Assemble the computable total-variation bound for the family.
 
@@ -285,8 +294,7 @@ def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
 
 def tv_exact_enumerated(kind: str, n: int, m: int) -> float:
     """Exact TV distance between the match-count law and Poisson(mu)."""
-    family = birthday_family(n, m) if kind == "birthday" else inversion_family(n, m)
-    mu = stein_chen_bound(family).mu
+    mu = stein_chen_bound(match_family(kind, n, m)).mu
     if m == 0:
         return 0.0
     law = match_count_law(kind, n, m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import asymptotics, exact, montecarlo, poisson_approx, sorters
 from .montecarlo import DEFAULT_SEED, SeededStream
@@ -116,14 +117,32 @@ def suite_enumeration() -> list[ClaimResult]:
     return out
 
 
-def suite_inversion_lemma() -> list[ClaimResult]:
-    bad = 0
-    total = 0
+@lru_cache(maxsize=1)
+def _permutation_walk() -> tuple[int, int, int, int, int, int]:
+    """One walk over the permutations of n <= 8 for three suites: the count, then
+    the runs breaking each lemma (max entry, sorted, reduction, flags, variant)."""
+    total = bad_maxv = bad_sorted = bad_reduction = bad_flags = bad_variant = 0
     for n in range(1, 9):
+        target = tuple(range(1, n + 1))
         for p in sorters.all_permutations(n):
             total += 1
-            if not sorters.passes_match_inversion_max(p):
-                bad += 1
+            passes = sorters.pass_count(p)
+            table = sorters.inversion_table(p)
+            bad_maxv += passes != max(table) + 1
+            s_plain, plain = sorters.bubble_sort_instrumented(p, "plain")
+            s_early, early = sorters.bubble_sort_instrumented(p, "early_exit")
+            s_var, variant = sorters.bubble_sort_instrumented(p, "early_exit_variant")
+            bad_sorted += not (s_plain == s_early == s_var == target)
+            expected_reduction = (n - passes - 1) * (n - passes) // 2
+            bad_reduction += plain.comparisons - early.comparisons != expected_reduction
+            bad_reduction += plain.comparisons - variant.comparisons != expected_reduction
+            bad_flags += early.bool_assignments != passes + sum(table)
+            bad_variant += variant.bool_assignments != 2 * passes - 1
+    return total, bad_maxv, bad_sorted, bad_reduction, bad_flags, bad_variant
+
+
+def suite_inversion_lemma() -> list[ClaimResult]:
+    total, bad, *_ = _permutation_walk()
     return [_check("LEMMA-MAXV-N8", bad == 0, f"{bad} mismatches of {total}", "0 mismatches",
                    "pass count equals max inversion-table entry + 1")]
 
@@ -133,28 +152,7 @@ def suite_opcount_lemmas() -> list[ClaimResult]:
         "single-set variant writes its flag 2P-1 times per run (P inits, "
         "P-1 sets); the commonly quoted value is 2P"
     )
-    bad_reduction = bad_flags = bad_variant_offset = bad_sorted = 0
-    total = 0
-    for n in range(1, 9):
-        for p in sorters.all_permutations(n):
-            total += 1
-            passes = sorters.pass_count(p)
-            inversions = sum(sorters.inversion_table(p))
-            s_plain, plain = sorters.bubble_sort_instrumented(p, "plain")
-            s_early, early = sorters.bubble_sort_instrumented(p, "early_exit")
-            s_var, variant = sorters.bubble_sort_instrumented(p, "early_exit_variant")
-            target = tuple(range(1, n + 1))
-            if not (s_plain == s_early == s_var == target):
-                bad_sorted += 1
-            expected_reduction = (n - passes - 1) * (n - passes) // 2
-            if plain.comparisons - early.comparisons != expected_reduction:
-                bad_reduction += 1
-            if plain.comparisons - variant.comparisons != expected_reduction:
-                bad_reduction += 1
-            if early.bool_assignments != passes + inversions:
-                bad_flags += 1
-            if variant.bool_assignments != 2 * passes - 1:
-                bad_variant_offset += 1
+    _, _, bad_sorted, bad_reduction, bad_flags, bad_variant = _permutation_walk()
     out = [
         _check("OPS-SORTED-N8", bad_sorted == 0, f"{bad_sorted} wrong outputs", "0",
                "all variants sort correctly, exhaustive n <= 8"),
@@ -163,12 +161,12 @@ def suite_opcount_lemmas() -> list[ClaimResult]:
         _check("OPS-FLAGS-EARLY-N8", bad_flags == 0, f"{bad_flags} mismatches", "0",
                "early-exit flag writes equal P + total inversions"),
     ]
-    if bad_variant_offset == 0:
+    if bad_variant == 0:
         out.append(ClaimResult("OPS-FLAGS-VARIANT-N8", "NOTE", "2P-1 on all runs",
                                "2P quoted", version_note))
     else:
         out.append(_check("OPS-FLAGS-VARIANT-N8", False,
-                          f"{bad_variant_offset} runs off the 2P-1 rule", "0", version_note))
+                          f"{bad_variant} runs off the 2P-1 rule", "0", version_note))
     return out
 
 
@@ -191,22 +189,18 @@ def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
     out = []
     worst = None
     ok = True
-    for n in range(2, poisson_approx.ENUM_BIRTHDAY_N + 1):
-        for m in range(1, n + 1):
-            tv = poisson_approx.tv_exact_enumerated("birthday", n, m)
-            bound = poisson_approx.stein_chen_bound(poisson_approx.birthday_family(n, m)).tv_bound
-            if not within(tv, bound):
-                ok = False
-            if worst is None or tv / max(bound, 1e-300) > worst[0]:
-                worst = (tv / max(bound, 1e-300), "birthday", n, m)
-    for n in range(2, poisson_approx.ENUM_INVERSION_N + 1):
-        for m in range(1, n):
-            tv = poisson_approx.tv_exact_enumerated("inversion", n, m)
-            bound = poisson_approx.stein_chen_bound(poisson_approx.inversion_family(n, m)).tv_bound
-            if not within(tv, bound):
-                ok = False
-            if worst is None or tv / max(bound, 1e-300) > worst[0]:
-                worst = (tv / max(bound, 1e-300), "inversion", n, m)
+    # m + 1 birthday draws need m <= n; m + 1 inversion-table entries need m < n
+    instances = [("birthday", n, m)
+                 for n in range(2, poisson_approx.ENUM_BIRTHDAY_N + 1) for m in range(1, n + 1)]
+    instances += [("inversion", n, m)
+                  for n in range(2, poisson_approx.ENUM_INVERSION_N + 1) for m in range(1, n)]
+    for kind, n, m in instances:
+        tv = poisson_approx.tv_exact_enumerated(kind, n, m)
+        bound = poisson_approx.stein_chen_bound(poisson_approx.match_family(kind, n, m)).tv_bound
+        if not within(tv, bound):
+            ok = False
+        if worst is None or tv / max(bound, 1e-300) > worst[0]:
+            worst = (tv / max(bound, 1e-300), kind, n, m)
     out.append(_check("SC-BOUND-ENUM", ok,
                       f"worst tv/bound ratio {worst[0]:.4f} at {worst[1:]}", "<= 1",
                       "exact TV below the bound on every enumerable instance"))
@@ -215,10 +209,10 @@ def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
         "birthday", 365, 22, mc_trials, SeededStream(DEFAULT_SEED, 0)
     )
     bound = poisson_approx.stein_chen_bound(poisson_approx.birthday_family(365, 22)).tv_bound
-    limit = bound + 3.0 * summary.tv_se
+    limit = montecarlo.tv_limit(bound, summary.tv_se)
     out.append(_check("SC-BOUND-MC-365-22", summary.tv_distance <= limit,
                       f"tv {summary.tv_distance:.6f}", f"<= {limit:.6f}",
-                      f"{mc_trials} trials, bound {bound:.6f} + 3 se"))
+                      f"{mc_trials} trials, bound {bound:.6f} + {montecarlo.TV_BOUND_SE:g} se"))
     return out
 
 
@@ -301,27 +295,17 @@ def suite_montecarlo(law_trials: int = 10**5, opcount_trials: int = 10**4) -> li
     out = []
     n = 10**4
     summary = montecarlo.empirical_law("pass", n, law_trials, SeededStream(DEFAULT_SEED, 0))
-    crit = 1.63 / math.sqrt(law_trials)
+    crit = montecarlo.ks_critical_1pct(law_trials)
     out.append(_check("MC-PASS-LAW-KS", summary.ks_exact < crit,
                       f"{summary.ks_exact:.5f}", f"< {crit:.5f}",
                       "KS vs exact finite-n law, 1% critical value"))
 
     counters = montecarlo.empirical_opcounts(n, opcount_trials, SeededStream(DEFAULT_SEED, 1))
-    deltas = asymptotics.expected_opcount_deltas(n)
-    targets = {
-        "comparison_reduction": deltas.comparison_reduction,
-        "flag_writes_early_exit": deltas.flag_writes_early_exit,
-        "flag_writes_variant": deltas.flag_writes_variant,
-    }
-    ok = True
-    details = []
-    for name, target in targets.items():
-        s = counters[name]
-        dev = abs(s.mean - target) / s.se_mean if s.se_mean else 0.0
-        details.append(f"{name}: {dev:.2f} se")
-        if dev > 4.0:
-            ok = False
-    out.append(_check("MC-OPCOUNT-MEANS", ok, "; ".join(details), "each within 4 se",
+    deviations = montecarlo.opcount_deviations(n, counters)
+    ok = not any(dev > montecarlo.OPCOUNT_SE for _, dev in deviations.values())
+    details = [f"{name}: {dev:.2f} se" for name, (_, dev) in deviations.items()]
+    out.append(_check("MC-OPCOUNT-MEANS", ok, "; ".join(details),
+                      f"each within {montecarlo.OPCOUNT_SE:g} se",
                       f"n={n}, trials={opcount_trials}"))
     return out
 

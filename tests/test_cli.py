@@ -7,6 +7,7 @@ import json
 import pytest
 
 from collisort.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from collisort.montecarlo import tv_limit
 
 
 def run_cli(capsys, *argv):
@@ -122,7 +123,7 @@ def test_simulate_delta_bound_column(capsys):
     assert code == EXIT_OK
     row = json.loads(out)["rows"][0]
     assert row["within_bound"] is True
-    assert row["tv_distance"] <= row["tv_bound"] + 3.0 * row["tv_se"]
+    assert row["tv_distance"] <= tv_limit(row["tv_bound"], row["tv_se"])
 
 
 def test_simulate_opcounts_rows(capsys):
@@ -136,9 +137,11 @@ def test_simulate_opcounts_rows(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "exact", "pass-cdf", "--n", "5", "--m", "9")
-    assert code == EXIT_USAGE
-    assert json.loads(err)["kind"] == "usage"
+    for argv in (("exact", "pass-cdf", "--n", "5", "--m", "9"),
+                 ("exact", "series", "--n", "22", "--m", "21")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert json.loads(err)["kind"] == "usage"
 
 
 def test_approx_varrho_without_x_is_usage_error(capsys):

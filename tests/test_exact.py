@@ -160,6 +160,17 @@ def test_series_domain():
         pass_cdf_series(20, 25)
     with pytest.raises(ValueError):
         collision_sf_series(365, 22, depth=0)
+    with pytest.raises(ValueError, match="collision log series does not converge within 64"):
+        collision_sf_series(22.0000001, 22)
+
+
+def test_series_auto_depth_stops_before_first_negligible_term():
+    # the next term falls below 1e-16 of the summed magnitudes after depth 12 at
+    # (365, 22) and after depth 8 at (10^4, 100), for both series
+    for series in (collision_sf_series, pass_cdf_series):
+        for n, m, depth in ((365, 22, 12), (10**4, 100, 8)):
+            auto, fixed = series(n, m), series(n, m, depth=depth)
+            assert (auto.hi, auto.lo, auto.err) == (fixed.hi, fixed.lo, fixed.err)
 
 
 # -- sandwich -----------------------------------------------------------------
@@ -250,6 +261,18 @@ def test_relative_error_shifted_headline():
     # ratio of the printed 7-digit values: 0.4857834/0.4857848 - 1
     assert report.relative_error == pytest.approx(-2.88e-6, abs=3e-7)
     assert report.asymptotic_formula_value == pytest.approx(-2.816e-6, rel=1e-3)
+
+
+def test_relative_error_shifted_within_err_of_fraction_oracle():
+    # the shifted year length is the double n - (m-1)/3; (4, 3) needs more
+    # log-series terms than exist, and (365, 22) lies beyond a log-series err
+    for n, m in ((4, 3), (365, 22)):
+        shifted = Fraction(n - (m - 1) / 3.0)
+        product = Fraction(1)
+        for k in range(1, m + 1):
+            product *= 1 - k / shifted
+        ratio = relative_error_shifted(n, m).exact_ratio
+        assert abs(ratio.to_fraction() - product / pass_cdf_fraction(n, m)) <= Fraction(ratio.err)
 
 
 def test_relative_error_shifted_m1():

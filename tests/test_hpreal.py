@@ -126,7 +126,7 @@ def test_decimal_string_digits():
 
 
 def test_int_beyond_double_range_is_domain_error():
-    for value in (10**400, -(10**400), 2**1024):
+    for value in (10**400, -(10**400), 2**1024, Fraction(10**400), Fraction(-(10**400), 3)):
         with pytest.raises(ValueError, match="outside the HPReal range"):
             hp(value)
     assert float(hp(2**1023)) == 2.0**1023

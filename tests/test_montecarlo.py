@@ -14,6 +14,7 @@ from collisort.montecarlo import (
     empirical_opcounts,
     empirical_pair_matches,
     exact_law_ks_vs_rayleigh,
+    ks_critical_1pct,
     law_tally,
     merge_tallies,
     sample_collision_counts,
@@ -21,6 +22,7 @@ from collisort.montecarlo import (
     sample_inversion_table,
     sample_pass_counts,
     summarize_law_tally,
+    tv_limit,
 )
 from collisort.poisson_approx import birthday_family, stein_chen_bound
 from collisort.sorters import ResourceBoundError, check_inversion_table
@@ -149,7 +151,7 @@ def test_collision_law_frequencies_vs_exact():
 
 def test_empirical_law_ks_below_critical():
     summary = empirical_law("pass", 10**4, 10**5, SeededStream())
-    assert summary.ks_exact < 1.63 / math.sqrt(10**5)
+    assert summary.ks_exact < ks_critical_1pct(10**5)
 
 
 def test_empirical_law_rayleigh_bias_shrinks():
@@ -215,7 +217,7 @@ def test_pair_matches_zero_depth():
 def test_pair_matches_tv_below_bound():
     summary = empirical_pair_matches("birthday", 365, 22, 10**5, SeededStream(17, 0))
     bound = stein_chen_bound(birthday_family(365, 22)).tv_bound
-    assert summary.tv_distance <= bound + 3.0 * summary.tv_se
+    assert summary.tv_distance <= tv_limit(bound, summary.tv_se)
     assert summary.reference_mu == pytest.approx(22 * 23 / 730.0, rel=1e-12)
 
 
@@ -228,7 +230,7 @@ def test_pair_matches_inversion_kind():
 def test_pair_matches_tv_below_bound_large_instance():
     summary = empirical_pair_matches("birthday", 10**4, 100, 10**5, SeededStream(19, 0))
     bound = stein_chen_bound(birthday_family(10**4, 100)).tv_bound
-    assert summary.tv_distance <= bound + 3.0 * summary.tv_se
+    assert summary.tv_distance <= tv_limit(bound, summary.tv_se)
 
 
 def test_pair_matches_tv_shrinks_with_n():

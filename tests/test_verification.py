@@ -1,0 +1,38 @@
+"""Verification suites: stable claim IDs and the shared permutation walk."""
+
+from collisort import sorters, verification
+
+STABLE_CLAIM_IDS = [
+    "ENUM-BDAY-N1", "ENUM-BDAY-N2", "ENUM-BDAY-N3", "ENUM-BDAY-N4", "ENUM-BDAY-N5",
+    "ENUM-BDAY-N6", "ENUM-PASS-N1", "ENUM-PASS-N2", "ENUM-PASS-N3", "ENUM-PASS-N4",
+    "ENUM-PASS-N5", "ENUM-PASS-N6", "ENUM-PASS-N7", "KS-COLL", "KS-PASS", "LEMMA-MAXV-N8",
+    "MC-OPCOUNT-MEANS", "MC-PASS-LAW-KS", "N1E4-EX2N", "N1E4-EXN", "N1E4-STATS", "N1E4-VXN",
+    "N358-M22-COLLSF", "OPS-FLAGS-EARLY-N8", "OPS-FLAGS-VARIANT-N8", "OPS-REDUCTION-N8",
+    "OPS-SORTED-N8", "ORD-CDF-COLL", "ORD-CDF-PASS", "ORD-EM-RESIDUAL", "ORD-SURVIVAL",
+    "P365-M22-COLLSF", "P365-M22-PASSCDF", "SC-BOUND-ENUM", "SC-BOUND-MC-365-22",
+    "SHIFT-1000-16", "SHIFT-365-22", "SHIFT-5000-40",
+]
+
+
+def test_permutation_suites_share_one_walk(monkeypatch):
+    walked = []
+    original = sorters.all_permutations
+
+    def counted(n):
+        walked.append(n)
+        return original(n)
+
+    monkeypatch.setattr(sorters, "all_permutations", counted)
+    verification._permutation_walk.cache_clear()
+    lemma = verification.suite_lemma_8_4()
+    opcounts = verification.suite_opcount_lemmas()
+    maxv = verification.suite_inversion_lemma()
+    assert walked == list(range(1, 9))
+    assert lemma == [c for c in opcounts if c.claim_id == "OPS-FLAGS-VARIANT-N8"]
+    assert lemma[0].status == "NOTE"
+    assert [c.claim_id for c in maxv] == ["LEMMA-MAXV-N8"]
+    assert maxv[0].observed == "0 mismatches of 46233"
+
+
+def test_run_all_returns_each_stable_claim_once():
+    assert [c.claim_id for c in verification.run_suite("all")] == STABLE_CLAIM_IDS
