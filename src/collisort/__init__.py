@@ -57,25 +57,6 @@ from .asymptotics import (
     scaled_pass_survival_expansion,
 )
 from .hpreal import HPReal, hp
-from .montecarlo import (
-    EmpiricalSummary,
-    SeededStream,
-    empirical_law,
-    empirical_opcounts,
-    empirical_pair_matches,
-    exact_law_ks_vs_rayleigh,
-    sample_first_collision,
-    sample_inversion_table,
-)
-from .poisson_approx import (
-    DissociatedFamily,
-    SteinChenReport,
-    birthday_family,
-    inversion_family,
-    poisson_limit_functionals,
-    stein_chen_bound,
-    tv_exact_enumerated,
-)
 from .sorters import (
     OpCounts,
     ResourceBoundError,
@@ -91,3 +72,46 @@ from .sorters import (
 )
 
 __version__ = "0.1.0"
+
+# montecarlo and poisson_approx need numpy.  Their names resolve on first
+# access (PEP 562), so the exact and asymptotic layers, and every `collisort
+# exact`/`approx` command, start without importing numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "montecarlo",
+        "EmpiricalSummary",
+        "SeededStream",
+        "empirical_law",
+        "empirical_opcounts",
+        "empirical_pair_matches",
+        "exact_law_ks_vs_rayleigh",
+        "sample_first_collision",
+        "sample_inversion_table",
+    ), "montecarlo"),
+    **dict.fromkeys((
+        "poisson_approx",
+        "DissociatedFamily",
+        "SteinChenReport",
+        "birthday_family",
+        "inversion_family",
+        "poisson_limit_functionals",
+        "stein_chen_bound",
+        "tv_exact_enumerated",
+    ), "poisson_approx"),
+}
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{module_name}")
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -289,8 +289,8 @@ def scaled_pass_charfn_approx(n: int, t: float) -> complex:
     (1 - (6-t^2) i t/(3 sqrt n)) sqrt(2 pi) e^(-t^2/2) (i t) Phi(i t)
       + (1 - (5-t^2) i t/(3 sqrt n)).
     """
-    if abs(t) > 8.0:
-        raise ValueError("charfn approximation supported for |t| <= 8")
+    if not abs(t) <= 8.0:
+        raise ValueError(f"charfn approximation supported for |t| <= 8, got t={t}")
     sq = math.sqrt(n)
     it = complex(0.0, t)
     first = (1.0 - (6.0 - t * t) * it / (3.0 * sq)) * (

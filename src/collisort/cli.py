@@ -7,7 +7,11 @@ column.  All commands are deterministic given their flags; simulation
 seeds default to a fixed constant (pass --randomize for entropy seeding).
 
 Exit codes: 0 ok, 1 assertion or claim failure, 2 usage error,
-3 resource-bound error.
+3 resource-bound error, 4 internal error (an unexpected exception; it is
+reported as {"error": ..., "kind": "internal"} and never as a failed claim).
+
+Only `simulate` and the Monte Carlo and enumeration suites of `verify`
+import numpy; `exact` and `approx` run on the pure-Python layers.
 """
 
 from __future__ import annotations
@@ -21,15 +25,15 @@ import secrets
 import sys
 from dataclasses import asdict
 
-from . import asymptotics, exact, montecarlo, poisson_approx, verification
+from . import asymptotics, exact, verification
 from .hpreal import HPReal
-from .montecarlo import DEFAULT_SEED, SeededStream
 from .sorters import ResourceBoundError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _hp_columns(value: HPReal, prefix: str = "value") -> dict:
@@ -221,7 +225,11 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
 
 
 def _cmd_simulate(args) -> tuple[list[dict], int]:
-    stream = SeededStream(args.seed, args.stream_id)
+    from . import montecarlo, poisson_approx
+
+    if args.seed is None:
+        args.seed = montecarlo.DEFAULT_SEED
+    stream = montecarlo.SeededStream(args.seed, args.stream_id)
     code = EXIT_OK
     rows: list[dict] = []
     if args.target == "law":
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--m", type=int, default=0)
     p_sim.add_argument("--trials", type=int, default=10**5)
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sim.add_argument("--seed", type=int, default=None)  # None: montecarlo.DEFAULT_SEED
     p_sim.add_argument("--stream-id", type=int, default=0)
     p_sim.add_argument("--randomize", action="store_true",
                        help="replace the fixed default seed with OS entropy")
@@ -397,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash must not read as a failed claim (exit 1)
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     emit_rows(rows, args.output, args.output_path)
     return code
 

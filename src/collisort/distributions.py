@@ -109,7 +109,7 @@ def erfi(x: float) -> float:
     term has the sign of x, so there is no cancellation and the only
     limit is overflow of exp(x^2), guarded at |x| = 12.
     """
-    if abs(x) > ERFI_MAX_ARG:
+    if not abs(x) <= ERFI_MAX_ARG:
         raise ValueError(f"erfi supported for |x| <= {ERFI_MAX_ARG}, got {x}")
     if x == 0.0:
         return 0.0

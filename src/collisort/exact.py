@@ -139,7 +139,11 @@ def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPRe
     The collision series has base n and all terms negative; the pass
     series has base n - m and alternates, starting negative.  With depth
     None the sum stops before the first term whose magnitude is below
-    1e-16 of the summed magnitudes before it.
+    1e-16 of the summed magnitudes before it.  S_{k+1}(m) <= m S_k(m), so
+    the terms shrink at least geometrically with ratio r = m/base; for
+    r < 1 the dropped tail is at most that term / (1 - r), and it widens
+    the exponent's err.  Without r < 1 the tail has no bound and the auto
+    depth does not stop.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -156,8 +160,9 @@ def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPRe
     for k in range(1, (depth or SERIES_MAX_DEPTH) + 1):
         bp *= base
         term = Fraction(power_sum(k, m)) / (k * bp)
-        if depth is None and term < Fraction(1, 10 ** 16) * magnitude:
-            return exponent.exp()
+        if depth is None and term < Fraction(1, 10 ** 16) * magnitude and m < base:
+            tail = float(term / (1 - m / base)) * (1.0 + 1e-15)
+            return HPReal(exponent.hi, exponent.lo, exponent.err + tail).exp()
         magnitude += term
         exponent = exponent + HPReal.from_fraction(term if alternating and k % 2 == 0 else -term)
     if depth is None:

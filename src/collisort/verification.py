@@ -5,6 +5,9 @@ exhaustive identity, a bound, or a convergence rate) and reports PASS,
 FAIL, or NOTE.  NOTE marks a measured discrepancy that is reported rather
 than asserted: the flag-write count of the single-set early-exit variant
 is 2P-1 per run, one below the commonly quoted 2P.
+
+Only the suites that draw or enumerate with numpy (stein-chen, rayleigh-ks,
+montecarlo) import montecarlo and poisson_approx, when they run.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import asymptotics, exact, montecarlo, poisson_approx, sorters
-from .montecarlo import DEFAULT_SEED, SeededStream
+from . import asymptotics, exact, sorters
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ def suite_lemma_8_4() -> list[ClaimResult]:
 
 
 def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
+    from . import montecarlo, poisson_approx
+
     # at m = 1 the family is a single indicator and the bound is exactly
     # tight (TV(Be(p), Poi(p)) = p(1 - e^-p) = the assembled bound), so the
     # comparison gets a rounding allowance
@@ -206,7 +210,7 @@ def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
                       "exact TV below the bound on every enumerable instance"))
 
     summary = montecarlo.empirical_pair_matches(
-        "birthday", 365, 22, mc_trials, SeededStream(DEFAULT_SEED, 0)
+        "birthday", 365, 22, mc_trials, montecarlo.SeededStream(montecarlo.DEFAULT_SEED, 0)
     )
     bound = poisson_approx.stein_chen_bound(poisson_approx.birthday_family(365, 22)).tv_bound
     limit = montecarlo.tv_limit(bound, summary.tv_se)
@@ -222,6 +226,8 @@ def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
 
 
 def suite_rayleigh_ks() -> list[ClaimResult]:
+    from . import montecarlo
+
     out = []
     for kind, tag in (("pass", "KS-PASS"), ("collision", "KS-COLL")):
         values = [montecarlo.exact_law_ks_vs_rayleigh(kind, n) for n in (100, 1000, 10000)]
@@ -292,15 +298,18 @@ def suite_optimal_shift() -> list[ClaimResult]:
 
 
 def suite_montecarlo(law_trials: int = 10**5, opcount_trials: int = 10**4) -> list[ClaimResult]:
+    from . import montecarlo
+
     out = []
     n = 10**4
-    summary = montecarlo.empirical_law("pass", n, law_trials, SeededStream(DEFAULT_SEED, 0))
+    seed = montecarlo.DEFAULT_SEED
+    summary = montecarlo.empirical_law("pass", n, law_trials, montecarlo.SeededStream(seed, 0))
     crit = montecarlo.ks_critical_1pct(law_trials)
     out.append(_check("MC-PASS-LAW-KS", summary.ks_exact < crit,
                       f"{summary.ks_exact:.5f}", f"< {crit:.5f}",
                       "KS vs exact finite-n law, 1% critical value"))
 
-    counters = montecarlo.empirical_opcounts(n, opcount_trials, SeededStream(DEFAULT_SEED, 1))
+    counters = montecarlo.empirical_opcounts(n, opcount_trials, montecarlo.SeededStream(seed, 1))
     deviations = montecarlo.opcount_deviations(n, counters)
     ok = not any(dev > montecarlo.OPCOUNT_SE for _, dev in deviations.values())
     details = [f"{name}: {dev:.2f} se" for name, (_, dev) in deviations.items()]

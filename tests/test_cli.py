@@ -2,11 +2,13 @@
 
 import csv
 import io
+import itertools
 import json
 
 import pytest
 
-from collisort.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from collisort import cli
+from collisort.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from collisort.montecarlo import tv_limit
 
 
@@ -138,10 +140,63 @@ def test_simulate_opcounts_rows(capsys):
 
 def test_usage_error_exit_code(capsys):
     for argv in (("exact", "pass-cdf", "--n", "5", "--m", "9"),
-                 ("exact", "series", "--n", "22", "--m", "21")):
+                 ("exact", "series", "--n", "22", "--m", "21"),
+                 ("approx", "charfn", "--n", "10000", "--t", "nan")):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert json.loads(err)["kind"] == "usage"
+    assert "t=nan" in json.loads(err)["error"]
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "exact", crash)
+    code, out, err = run_cli(capsys, "exact", "pass-cdf", "--n", "10", "--m", "3")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert json.loads(err) == {"error": "RuntimeError: boom", "kind": "internal"}
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._DISPATCH, "exact", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["exact", "pass-cdf", "--n", "10", "--m", "3"])
+
+
+_EXACT_TARGETS = ("collision-sf", "pass-cdf", "series", "sandwich", "relerr",
+                  "optimal-shift", "moments")
+_APPROX_TARGETS = ("varrho", "cdf", "pmf", "moments", "charfn", "stats", "opt-deltas",
+                   "em-check")
+_BOUNDARY_N = ("-1", "0", "1", "2", "3", "100")
+
+
+def _boundary_argvs():
+    for target, n, m in itertools.product(_EXACT_TARGETS, _BOUNDARY_N, ("-1", "0", "1", "2")):
+        yield ("exact", target, "--n", n, "--m", m)
+    for target, n, option, value in itertools.product(
+            _APPROX_TARGETS, _BOUNDARY_N, ("--x", "--z", "--t", "--epsilon"),
+            ("nan", "inf", "-1", "0")):
+        yield ("approx", target, "--n", n, option, value)
+    for target, kind, n, trials in itertools.product(
+            ("law", "delta", "opcounts"), ("pass", "collision", "birthday", "inversion"),
+            ("-1", "0", "1", "2"), ("-1", "0", "1", "1000")):
+        for m in ("-1", "0", "1", "2") if target == "delta" else ("0",):
+            yield ("simulate", target, "--kind", kind, "--n", n, "--m", m, "--trials", trials)
+
+
+def test_boundary_argv_never_crash(capsys):
+    # documented codes only: a failed claim (1) can come only from simulate's
+    # statistical checks, and an internal error (4) never
+    allowed = {"exact": {0, 2, 3}, "approx": {0, 2, 3}, "simulate": {0, 1, 2, 3}}
+    bad = []
+    for argv in _boundary_argvs():
+        code, out, err = run_cli(capsys, *argv)
+        if code not in allowed[argv[0]] or "Traceback" in out + err:
+            bad.append((argv, code, err[-200:]))
+    assert not bad
 
 
 def test_approx_varrho_without_x_is_usage_error(capsys):

@@ -153,6 +153,8 @@ def test_erfi_derivative_relation(x):
 def test_erfi_range_guard():
     with pytest.raises(ValueError):
         erfi(ERFI_MAX_ARG + 0.5)
+    with pytest.raises(ValueError):
+        erfi(math.nan)
 
 
 # -- normal CDF at imaginary argument ----------------------------------------

@@ -166,11 +166,22 @@ def test_series_domain():
 
 def test_series_auto_depth_stops_before_first_negligible_term():
     # the next term falls below 1e-16 of the summed magnitudes after depth 12 at
-    # (365, 22) and after depth 8 at (10^4, 100), for both series
+    # (365, 22) and after depth 8 at (10^4, 100), for both series; the auto
+    # depth's err also covers the dropped tail, an explicit depth's does not
     for series in (collision_sf_series, pass_cdf_series):
         for n, m, depth in ((365, 22, 12), (10**4, 100, 8)):
             auto, fixed = series(n, m), series(n, m, depth=depth)
-            assert (auto.hi, auto.lo, auto.err) == (fixed.hi, fixed.lo, fixed.err)
+            assert (auto.hi, auto.lo) == (fixed.hi, fixed.lo)
+            assert auto.err > fixed.err
+
+
+@pytest.mark.parametrize("n, m", [(365, 22), (10**4, 100), (50, 10)])
+@pytest.mark.parametrize("series, oracle", [(collision_sf_series, collision_sf_fraction),
+                                            (pass_cdf_series, pass_cdf_fraction)])
+def test_series_auto_depth_within_err_of_fraction_oracle(series, oracle, n, m):
+    # exp of the full log series is the product, so the truncation is error
+    value = series(n, m)
+    assert abs(value.to_fraction() - oracle(n, m)) <= Fraction(value.err)
 
 
 # -- sandwich -----------------------------------------------------------------
