@@ -4,6 +4,9 @@ The scaled statistics are X = (n - passes)/sqrt(n) for bubble sort and
 Z = (collision count - 1)/sqrt(n) for the birthday process.  Everything
 here approximates their laws and moments by expansions valid for large n;
 the exact counterparts live in `exact` and serve as oracles.
+
+Survival, CDF and moment expansions are generated from the log series of the
+product forms (`_exponent`, `_moment`); PMF and charfn keep closed forms.
 """
 
 from __future__ import annotations
@@ -12,20 +15,23 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .exact import pass_cdf, pass_survival_sequence
 from .hpreal import HPReal, PI, hp
 from .distributions import normal_cdf_imag
+from .powersums import bernoulli, faulhaber_coefficients
 from .quadrature import adaptive_quad
 
 # Stirling-series correction coefficients: B_2j / (2j (2j-1)) for j = 1..4,
 # kept exact; a float 1/12 alone would cost ~1e-20 at x ~ 170
 _STIRLING_COEFFS = tuple(
-    HPReal.from_fraction(Fraction(num, den))
-    for num, den in ((1, 12), (-1, 360), (1, 1260), (-1, 1680))
+    HPReal.from_fraction(bernoulli(2 * j) / (2 * j * (2 * j - 1))) for j in range(1, 5)
 )
 _STIRLING_SHIFT = 30  # shift small arguments up so the 1/x^7 tail suffices
-_STIRLING_REMAINDER = 5.0 / 66.0 / 90.0  # |B_10| / (9 * 10), over x^9
+# |B_10| / (9 * 10), over x^9, rounded up
+_STIRLING_REMAINDER = math.nextafter(float(abs(bernoulli(10)) / 90), math.inf)
 
 TWO_PI_HP = PI * 2.0
 
@@ -61,7 +67,105 @@ def log_factorial_hp(x: float) -> HPReal:
 
 
 # ---------------------------------------------------------------------------
-# survival of the scaled pass statistic
+# the expansion generator: series {(j, a): Fraction} for h^j y^a, h = n^-1/2
+# ---------------------------------------------------------------------------
+
+_ROOT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+
+def _mul(p, q, order: int) -> dict:
+    """Product of two series, dropping the powers of h beyond ``order``."""
+    out: dict = {}
+    for (j, a), c in p.items():
+        for (i, b), d in q.items():
+            if i + j <= order:
+                out[i + j, a + b] = out.get((i + j, a + b), 0) + c * d
+    return out
+
+
+def _add(p, q, scale=1) -> dict:
+    """p + scale * q, without zero terms."""
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _exponent(kind: str, shift: int, order: int) -> MappingProxyType:
+    """log of the survival at m = x/h + shift, in h^j x^a through h^order.
+
+    The collision series -sum_k S_k(m)/(k n^k) has base n = h^-2; the pass
+    series sum_k (-1)^k S_k(m)/(k (n-m)^k) has n - m = h^-2 (1 - u) with
+    u = x h + shift h^2.  h^(k+1) S_k(m) = sum_i c_i h^(k+1-i) (x + shift h)^i
+    by Faulhaber, so term k starts at h^(k-1) and k <= order + 1 suffice.
+    """
+    out: dict = {}
+    for k in range(1, order + 2):
+        top = order + 1 - k  # the order of h left for term k
+        poly, power = {}, {(0, 0): Fraction(1)}  # power = (x + shift h)^i
+        for i, c in enumerate(faulhaber_coefficients(k)):
+            poly = _add(poly, {(j + k + 1 - i, a): d for (j, a), d in power.items()}, c)
+            power = _mul(power, {(0, 1): 1, (1, 0): shift}, top)
+        geometric = u_power = {(0, 0): Fraction(1)}  # (1 - u)^-k = sum_t C(k+t-1, t) u^t
+        for t in range(1, top + 1 if kind == "pass" else 1):
+            u_power = _mul(u_power, {(1, 1): 1, (2, 0): shift}, top)
+            geometric = _add(geometric, u_power, math.comb(k + t - 1, t))
+        out = _add(out, {(j + k - 1, a): c for (j, a), c in _mul(poly, geometric, top).items()},
+                   Fraction((-1) ** k if kind == "pass" else -1, k))
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def _moment(kind: str, k: int, order: int) -> MappingProxyType:
+    """E X^k (or E Z^k) in h^j sqrt(pi/2)^p through h^order.
+
+    Abel summation gives E X^k = (-h)^k + sum_(m >= 0) g(m h) with
+    g(x) = (x^k - (x-h)^k) P{X >= x} = G(h, x) e^(-x^2/2), the survival being
+    exp(exponent).  Euler-Maclaurin gives the sum as (1/h) int_0^inf g
+    - sum_i B_i h^(i-1) g^(i-1)(0)/i!, with B_1 = -1/2 and int_0^inf x^a
+    e^(-x^2/2) dx = (a-1)!!, times sqrt(pi/2) for even a.
+    """
+    shift = 0 if kind == "pass" else -1  # P{Z >= m h} is the collision product at m - 1
+    tail = {key: c for key, c in _exponent(kind, shift, order).items() if key[0]}
+    survival = term = {(0, 0): Fraction(1)}  # times e^(-x^2/2)
+    for t in range(1, order + 1):
+        term = {key: c / t for key, c in _mul(term, tail, order).items()}
+        survival = _add(survival, term)
+    step = {(i, k - i): -math.comb(k, i) * Fraction(-1) ** i for i in range(1, k + 1)}
+    out = {(k, 0): Fraction(-1) ** k} if k <= order else {}
+    for (j, a), c in _mul(step, survival, order + 1).items():
+        out = _add(out, {(j - 1, (a + 1) % 2): c * math.prod(range(a - 1, 0, -2))})
+        for i in range(a + 1, order + 2 - j, 2):  # x^(i-1) = x^a times x^(2p) of e^(-x^2/2)
+            p = (i - 1 - a) // 2
+            out = _add(out, {(j + i - 1, 0): c * Fraction(-1, 2) ** p / math.factorial(p)},
+                       -bernoulli(i) / i)
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def _pass_variance(order: int) -> MappingProxyType:
+    """E X^2 - (E X)^2, truncated after h^order in Q[sqrt(pi/2)]."""
+    mean = _moment("pass", 1, order)
+    return MappingProxyType(_add(_moment("pass", 2, order), _mul(mean, mean, order), -1))
+
+
+@lru_cache(maxsize=None)
+def _floats(series, *args) -> tuple[tuple[int, int, float], ...]:
+    """The terms (j, a, c) of series(*args), with c a float, made once."""
+    return tuple((j, a, float(c)) for (j, a), c in series(*args).items())
+
+
+def _value(terms, n: int, y: float) -> float:
+    """sum c h^j y^a at h = n^-1/2 and y (x, or sqrt(pi/2) for moments)."""
+    h, total = 1.0 / math.sqrt(n), 0.0
+    for j, a, c in terms:
+        total += c * h ** j * y ** a
+    return total
+
+
+# ---------------------------------------------------------------------------
+# survival, CDF and PMF approximations
 # ---------------------------------------------------------------------------
 
 
@@ -72,7 +176,7 @@ def _lattice_index(n: int, x: float, lo: int, hi: int, what: str) -> int:
     if abs(mf - m) > 1e-8 * max(1.0, abs(mf)):
         raise ValueError(f"{what}: x*sqrt(n) = {mf} is not an integer lattice point")
     if not lo <= m <= hi:
-        raise ValueError(f"{what}: lattice index {m} outside {lo}..{hi}")
+        raise ValueError(f"{what}: lattice index x*sqrt(n) = {m} outside {lo}..{hi}")
     return m
 
 
@@ -89,11 +193,8 @@ def scaled_pass_survival(n: int, x: float) -> HPReal:
 
 
 def scaled_pass_survival_expansion(n: int, x: float) -> float:
-    """Expansion of the scaled-pass survival, exact through the 1/n^2 term.
-
-    exp(-x^2/2) * exp(-(2x^3+3x)/(6 sqrt n) - (x^4+x^2)/(4n)
-                      - (12x^5+10x^3-5x)/(60 n sqrt n)
-                      - (4x^6+3x^4-2x^2)/(24 n^2)).
+    """exp of the generated pass exponent at m = x sqrt(n), exact through
+    the 1/n^2 term: -x^2/2 plus four terms in n^(-1/2).
 
     The dropped remainder grows like x^7/n^2.5; a RuntimeWarning is
     issued once x exceeds 2 n^(1/6), where that remainder starts to
@@ -104,84 +205,30 @@ def scaled_pass_survival_expansion(n: int, x: float) -> float:
     if x < 0:
         raise ValueError("x must be >= 0")
     if x > 2.0 * n ** (1.0 / 6.0):
-        warnings.warn(
-            f"scaled_pass_survival_expansion: x={x} beyond comfort zone "
-            f"2 n^(1/6)={2.0 * n ** (1.0 / 6.0):.3f}; remainder dominates",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return math.exp(-x * x / 2.0 + _expansion_exponent_tail(n, x))
+        warnings.warn(f"scaled_pass_survival_expansion: x={x} beyond comfort zone "
+                      f"2 n^(1/6)={2.0 * n ** (1.0 / 6.0):.3f}; remainder dominates",
+                      RuntimeWarning, stacklevel=2)
+    return math.exp(_value(_floats(_exponent, "pass", 0, 4), n, x))
 
 
-def _expansion_exponent_tail(n: int, x: float) -> float:
-    """The finite-n part of the survival expansion's exponent."""
-    sq = math.sqrt(n)
-    return (
-        -(2 * x ** 3 + 3 * x) / (6 * sq)
-        - (x ** 4 + x ** 2) / (4 * n)
-        - (12 * x ** 5 + 10 * x ** 3 - 5 * x) / (60 * n * sq)
-        - (4 * x ** 6 + 3 * x ** 4 - 2 * x ** 2) / (24 * n * n)
-    )
-
-
-def _expansion_g1(n: int, x: float) -> float:
-    sq = math.sqrt(n)
-    return (
-        -x
-        - (2 * x * x + 1) / (2 * sq)
-        - (2 * x ** 3 + x) / (2 * n)
-        - (12 * x ** 4 + 6 * x * x - 1) / (12 * n * sq)
-        - (6 * x ** 5 + 3 * x ** 3 - x) / (6 * n * n)
-    )
-
-
-def _expansion_g2(n: int, x: float) -> float:
-    sq = math.sqrt(n)
-    return (
-        -1.0
-        - 2 * x / sq
-        - (6 * x * x + 1) / (2 * n)
-        - (4 * x ** 3 + x) / (n * sq)
-        - (30 * x ** 4 + 9 * x * x - 1) / (6 * n * n)
-    )
-
-
-def _expansion_g3(n: int, x: float) -> float:
-    sq = math.sqrt(n)
-    return (
-        -2.0 / sq
-        - 6 * x / n
-        - (12 * x * x + 1) / (n * sq)
-        - (20 * x ** 3 + 3 * x) / (n * n)
-    )
-
-
-def _expansion_d1(n: int, x: float) -> float:
-    """First derivative of the survival expansion."""
-    return _expansion_g1(n, x) * scaled_pass_survival_expansion(n, x)
-
-
-def _expansion_d3(n: int, x: float) -> float:
-    """Third derivative of the survival expansion."""
-    g1 = _expansion_g1(n, x)
-    g2 = _expansion_g2(n, x)
-    g3 = _expansion_g3(n, x)
-    return (g3 + 3 * g1 * g2 + g1 ** 3) * scaled_pass_survival_expansion(n, x)
-
-
-# ---------------------------------------------------------------------------
-# CDF / PMF approximations
-# ---------------------------------------------------------------------------
+def _expansion_slopes(n: int, x: float) -> tuple[float, float]:
+    """f' and f''' of the survival expansion f = exp(E), from E', E'', E'''."""
+    terms = _floats(_exponent, "pass", 0, 4)
+    g1, g2, g3 = (_value([(j, a - d, c * math.perm(a, d)) for j, a, c in terms if a >= d], n, x)
+                  for d in (1, 2, 3))
+    f = scaled_pass_survival_expansion(n, x)
+    return g1 * f, (g3 + 3 * g1 * g2 + g1 ** 3) * f
 
 
 def scaled_pass_cdf_approx(n: int, x: float) -> float:
-    """F_X(x) ~ 1 - exp(-x^2/2) exp(-(2x^3+9x)/(6 sqrt n)) on the lattice.
+    """F_X(x) = 1 - P{X >= x + 1/sqrt n} ~ 1 - exp(E) on the lattice, with E
+    the generated pass exponent at m = x sqrt(n) + 1 through n^(-1/2).
 
     Remainder is of order x^4/n.  The topmost lattice point (passes = 1)
     extrapolates the formula beyond its derivation range.
     """
     _lattice_index(n, x, 0, n - 1, "scaled_pass_cdf_approx")
-    return 1.0 - math.exp(-x * x / 2.0 - (2 * x ** 3 + 9 * x) / (6 * math.sqrt(n)))
+    return 1.0 - math.exp(_value(_floats(_exponent, "pass", 1, 1), n, x))
 
 
 def scaled_pass_pmf_approx(n: int, x: float) -> float:
@@ -201,9 +248,10 @@ def scaled_pass_pmf_approx(n: int, x: float) -> float:
 
 
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
-    """F_Z(z) ~ 1 - exp(-z^2/2) exp(-(z^3+3z)/(6 sqrt n)) on the lattice."""
+    """F_Z(z) ~ 1 - exp(E) on the lattice, with E the generated collision
+    exponent at m = z sqrt(n) through n^(-1/2)."""
     _lattice_index(n, z, 1, n, "scaled_collision_cdf_approx")
-    return 1.0 - math.exp(-z * z / 2.0 - (z ** 3 + 3 * z) / (6 * math.sqrt(n)))
+    return 1.0 - math.exp(_value(_floats(_exponent, "collision", 0, 1), n, z))
 
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
@@ -241,8 +289,7 @@ def euler_maclaurin_residual(n: int, epsilon: float) -> float:
     if n < 100:
         raise ValueError("euler_maclaurin_residual calibrated for n >= 100")
     sq = math.sqrt(n)
-    m_cut = int(math.floor(n ** epsilon * sq))
-    m_cut = min(m_cut, n - 1)
+    m_cut = min(int(math.floor(n ** epsilon * sq)), n - 1)
     cut = m_cut / sq
 
     lattice_sum = hp(0.0)
@@ -254,33 +301,28 @@ def euler_maclaurin_residual(n: int, epsilon: float) -> float:
     integral = adaptive_quad(
         lambda x: scaled_pass_survival_expansion(n, x), 0.0, cut, abs_tol=1e-14
     )
-    f0 = 1.0
     fA = scaled_pass_survival_expansion(n, cut)
+    (d1_0, d3_0), (d1_A, d3_A) = _expansion_slopes(n, 0.0), _expansion_slopes(n, cut)
     em = (
         sq * integral
-        + (f0 + fA) / 2.0
-        + (_expansion_d1(n, cut) - _expansion_d1(n, 0.0)) / (12.0 * sq)
-        - (_expansion_d3(n, cut) - _expansion_d3(n, 0.0)) / (720.0 * n * sq)
+        + (1.0 + fA) / 2.0
+        + (d1_A - d1_0) / (12.0 * sq)
+        - (d3_A - d3_0) / (720.0 * n * sq)
     )
     return abs(float(lattice_sum) - em)
 
 
 # ---------------------------------------------------------------------------
-# moments, characteristic function, statistics
+# moments, characteristic function, statistics, expected operation counts
 # ---------------------------------------------------------------------------
 
 
 def scaled_pass_moment_approx(n: int, k: int) -> float:
-    """Two-term moment expansion:
-    sqrt(2)^k (Gamma(k/2+1) - sqrt(2) k(k+4)/(6 sqrt n) Gamma((k+1)/2)).
-    """
+    """Two-term moment expansion E X^k ~ c_0 + c_1/sqrt(n), generated by
+    Euler-Maclaurin from the survival expansion."""
     if not 0 <= k <= 8:
         raise ValueError("moment order supported for 0 <= k <= 8")
-    lead = math.gamma(k / 2.0 + 1.0)
-    corr = math.sqrt(2.0) * k * (k + 4) / (6.0 * math.sqrt(n)) * math.gamma(
-        (k + 1) / 2.0
-    )
-    return math.sqrt(2.0) ** k * (lead - corr)
+    return _value(_floats(_moment, "pass", k, 1), n, _ROOT_HALF_PI)
 
 
 def scaled_pass_charfn_approx(n: int, t: float) -> complex:
@@ -311,39 +353,12 @@ class ApproxStats:
 
 
 def scaled_pass_stats_approx(n: int) -> ApproxStats:
-    """Five-term expansions of E(X), E(X^2), V(X), accurate to 1/(n^2 sqrt n)."""
+    """Five-term expansions of E(X), E(X^2) and V(X) = E(X^2) - E(X)^2,
+    each generated through the 1/n^2 term, so accurate to 1/(n^2 sqrt n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    sq = math.sqrt(n)
-    half_pi = math.sqrt(math.pi / 2.0)
-    half_pi_n = math.sqrt(math.pi / (2.0 * n))
-    mean = (
-        half_pi
-        - 5.0 / (3.0 * sq)
-        + 11.0 / (24.0 * n) * half_pi
-        + 4.0 / (135.0 * n * sq)
-        - 71.0 / (1152.0 * n * n) * half_pi
-    )
-    second = (
-        2.0
-        - 4.0 * half_pi_n
-        + 5.0 / n
-        - 5.0 / (3.0 * n) * half_pi_n
-        - 4.0 / (135.0 * n * n)
-    )
-    variance = (
-        (4.0 - math.pi) / 2.0
-        - 2.0 / 3.0 * half_pi_n
-        + (160.0 - 33.0 * math.pi) / (72.0 * n)
-        - 107.0 / (540.0 * n) * half_pi_n
-        - (1125.0 * math.pi - 1792.0) / (25920.0 * n * n)
-    )
-    return ApproxStats(mean, second, variance, n)
-
-
-# ---------------------------------------------------------------------------
-# expected operation-count deltas of the early-exit variants
-# ---------------------------------------------------------------------------
+    return ApproxStats(*(_value(_floats(*series), n, _ROOT_HALF_PI) for series in (
+        (_moment, "pass", 1, 4), (_moment, "pass", 2, 4), (_pass_variance, 4))), n)
 
 
 @dataclass(frozen=True)
@@ -361,39 +376,19 @@ class ExpectedOpDeltas:
 
 
 def expected_opcount_deltas(n: int) -> ExpectedOpDeltas:
-    """Expansions of the expected operation-count deltas.
+    """Expansions of the expected operation-count deltas, through the 1/n term.
 
-    comparison_reduction = E[(n-P-1)(n-P)/2]
-        = n - (5/2) sqrt(pi n/2) + 10/3 - (17/16) sqrt(pi/(2n)) - 4/(135 n)
-
-    flag_writes_early_exit = E[P] + E[total inversions], and since the
-    total-inversion mean of a uniform permutation is exactly n(n-1)/4,
-        = n^2/4 + 3n/4 - sqrt(pi n/2) + 5/3 - (11/24) sqrt(pi/(2n)) - 4/(135 n)
-
-    flag_writes_variant = 2 E[P] - 1, since the variant writes its flag
-    2P - 1 times per run,
-        = 2n - 2 sqrt(pi n/2) + 7/3 - (11/12) sqrt(pi/(2n)) - 8/(135 n)
+    With n - P = sqrt(n) X and E X^k generated through n^(-(k+2)/2):
+      comparison_reduction   = E[(n-P-1)(n-P)/2] = (n E X^2 - sqrt(n) E X)/2;
+      flag_writes_early_exit = E[P] + E[total inversions] = E[P] + n(n-1)/4;
+      flag_writes_variant    = 2 E[P] - 1, since the variant writes its
+                               flag 2P - 1 times per run;
+    with E[P] = n - sqrt(n) E X.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    root_n = math.sqrt(math.pi * n / 2.0)
-    inv_root = math.sqrt(math.pi / (2.0 * n))
-    comparison = (
-        n - 2.5 * root_n + 10.0 / 3.0 - 17.0 / 16.0 * inv_root - 4.0 / (135.0 * n)
-    )
-    flags_opt = (
-        n * n / 4.0
-        + 3.0 * n / 4.0
-        - root_n
-        + 5.0 / 3.0
-        - 11.0 / 24.0 * inv_root
-        - 4.0 / (135.0 * n)
-    )
-    flags_variant = (
-        2.0 * n
-        - 2.0 * root_n
-        + 7.0 / 3.0
-        - 11.0 / 12.0 * inv_root
-        - 8.0 / (135.0 * n)
-    )
-    return ExpectedOpDeltas(comparison, flags_opt, flags_variant, n)
+    sq = math.sqrt(n)
+    e1, e2 = (_value(_floats(_moment, "pass", k, k + 2), n, _ROOT_HALF_PI) for k in (1, 2))
+    passes = n - sq * e1
+    return ExpectedOpDeltas((n * e2 - sq * e1) / 2.0, passes + n * (n - 1) / 4.0,
+                            2.0 * passes - 1.0, n)

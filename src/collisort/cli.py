@@ -121,6 +121,11 @@ def _with_reference(value: float, reference: float) -> dict:
 def _cmd_approx(args) -> tuple[list[dict], int]:
     t = args.target
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    for name in ("x", "z", "t", "epsilon"):
+        if not math.isfinite(getattr(args, name) or 0.0):
+            raise ValueError(f"--{name} must be finite, got {name}={getattr(args, name)}")
     rows: list[dict] = []
     if t == "varrho":
         if args.x is None:

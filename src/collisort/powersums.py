@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 MAX_ORDER = 64
 
@@ -28,29 +29,24 @@ def bernoulli(j: int) -> Fraction:
     return _bernoulli_cache[j]
 
 
-def power_sum(k: int, m: int) -> int:
-    """Sum of i^k for i = 1..m, exactly.
+@lru_cache(maxsize=None)
+def faulhaber_coefficients(k: int) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_(k+1) of S_k(m) = 1^k + ... + m^k = sum_i c_i m^i.
 
-    Faulhaber form: (1/(k+1)) * sum_j C(k+1, j) B_j^+ m^(k+1-j) where
-    B^+ flips the sign of B_1.
+    Faulhaber form: c_(k+1-j) = C(k+1, j) B_j^+ / (k+1), where B^+ flips
+    the sign of B_1.
     """
+    b_plus = [-bernoulli(j) if j == 1 else bernoulli(j) for j in range(k + 1)]
+    return (Fraction(0),) + tuple(math.comb(k + 1, j) * b_plus[j] / (k + 1) for j in range(k, -1, -1))
+
+
+def power_sum(k: int, m: int) -> int:
+    """Sum of i^k for i = 1..m, exactly, from the Faulhaber polynomial."""
     if k < 0 or m < 0:
         raise ValueError("power_sum requires k >= 0 and m >= 0")
     if k > MAX_ORDER:
         raise ValueError(f"power_sum supports k <= {MAX_ORDER}")
-    if m == 0:
-        return 0
-    if k == 0:
-        return m
-    acc = Fraction(0)
-    powers = [m ** (k + 1 - j) for j in range(k + 1)]
-    for j in range(k + 1):
-        b = bernoulli(j)
-        if j == 1:
-            b = -b
-        if b:
-            acc += math.comb(k + 1, j) * b * powers[j]
-    acc /= k + 1
+    acc = sum(c * m ** i for i, c in enumerate(faulhaber_coefficients(k)) if c)
     if acc.denominator != 1:
         raise AssertionError("power sum must be an integer")
     return acc.numerator

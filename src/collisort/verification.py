@@ -121,9 +121,11 @@ def suite_enumeration() -> list[ClaimResult]:
 
 @lru_cache(maxsize=1)
 def _permutation_walk() -> tuple[int, int, int, int, int, int]:
-    """One walk over the permutations of n <= 8 for three suites: the count, then
-    the runs breaking each lemma (max entry, sorted, reduction, flags, variant)."""
+    """One walk over the permutations of n <= 8 for three suites: the count, then the runs
+    breaking each lemma (max entry, sorted, `sorters.opcounts_from_stats` counts)."""
     total = bad_maxv = bad_sorted = bad_reduction = bad_flags = bad_variant = 0
+    implied = lru_cache(maxsize=None)(lambda n, passes, inversions: [  # few distinct keys
+        sorters.opcounts_from_stats(n, passes, inversions, v) for v in sorters.VARIANTS])
     for n in range(1, 9):
         target = tuple(range(1, n + 1))
         for p in sorters.all_permutations(n):
@@ -131,15 +133,15 @@ def _permutation_walk() -> tuple[int, int, int, int, int, int]:
             passes = sorters.pass_count(p)
             table = sorters.inversion_table(p)
             bad_maxv += passes != max(table) + 1
-            s_plain, plain = sorters.bubble_sort_instrumented(p, "plain")
-            s_early, early = sorters.bubble_sort_instrumented(p, "early_exit")
-            s_var, variant = sorters.bubble_sort_instrumented(p, "early_exit_variant")
+            (s_plain, plain), (s_early, early), (s_var, variant) = [
+                sorters.bubble_sort_instrumented(p, v) for v in sorters.VARIANTS]
             bad_sorted += not (s_plain == s_early == s_var == target)
-            expected_reduction = (n - passes - 1) * (n - passes) // 2
-            bad_reduction += plain.comparisons - early.comparisons != expected_reduction
-            bad_reduction += plain.comparisons - variant.comparisons != expected_reduction
-            bad_flags += early.bool_assignments != passes + sum(table)
-            bad_variant += variant.bool_assignments != 2 * passes - 1
+            want_plain, want_early, want_var = implied(n, passes, sum(table))
+            for got, want in ((early, want_early), (variant, want_var)):
+                bad_reduction += (plain.comparisons - got.comparisons
+                                  != want_plain.comparisons - want.comparisons)
+            bad_flags += early.bool_assignments != want_early.bool_assignments
+            bad_variant += variant.bool_assignments != want_var.bool_assignments
     return total, bad_maxv, bad_sorted, bad_reduction, bad_flags, bad_variant
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from collisort import exact
+from collisort import asymptotics, exact
 from collisort.asymptotics import (
     euler_maclaurin_residual,
     expected_opcount_deltas,
@@ -22,6 +22,7 @@ from collisort.asymptotics import (
     scaled_pass_survival_expansion,
 )
 from collisort.distributions import rayleigh_charfn
+from collisort.hpreal import HPReal
 from oracles import ln_frac
 
 
@@ -329,3 +330,106 @@ def test_net_cost_positive_for_both_variants():
     deltas = expected_opcount_deltas(10**4)
     assert deltas.flag_writes_early_exit - deltas.comparison_reduction > 0
     assert deltas.flag_writes_variant - deltas.comparison_reduction > 0
+
+
+# -- the expansion generator ----------------------------------------------------------
+
+
+def _series(terms):
+    """{(j, a): c} from (j, a, numerator, denominator) rows."""
+    return {(j, a): Fraction(num, den) for j, a, num, den in terms}
+
+
+def _derivative(series):
+    return {(j, a - 1): a * c for (j, a), c in series.items() if a}
+
+
+def test_generated_exponents_equal_the_closed_forms():
+    # -x^2/2 - (2x^3+3x)/6 h - (x^4+x^2)/4 h^2 - (12x^5+10x^3-5x)/60 h^3
+    # - (4x^6+3x^4-2x^2)/24 h^4, and its x-derivatives
+    exponent = _series([(0, 2, -1, 2), (1, 3, -1, 3), (1, 1, -1, 2), (2, 4, -1, 4), (2, 2, -1, 4),
+                        (3, 5, -1, 5), (3, 3, -1, 6), (3, 1, 1, 12), (4, 6, -1, 6), (4, 4, -1, 8),
+                        (4, 2, 1, 12)])
+    assert asymptotics._exponent("pass", 0, 4) == exponent
+    g1 = _series([(0, 1, -1, 1), (1, 2, -1, 1), (1, 0, -1, 2), (2, 3, -1, 1), (2, 1, -1, 2),
+                  (3, 4, -1, 1), (3, 2, -1, 2), (3, 0, 1, 12), (4, 5, -1, 1), (4, 3, -1, 2),
+                  (4, 1, 1, 6)])
+    g2 = _series([(0, 0, -1, 1), (1, 1, -2, 1), (2, 2, -3, 1), (2, 0, -1, 2), (3, 3, -4, 1),
+                  (3, 1, -1, 1), (4, 4, -5, 1), (4, 2, -3, 2), (4, 0, 1, 6)])
+    g3 = _series([(1, 0, -2, 1), (2, 1, -6, 1), (3, 2, -12, 1), (3, 0, -1, 1), (4, 3, -20, 1),
+                  (4, 1, -3, 1)])
+    assert _derivative(exponent) == g1
+    assert _derivative(g1) == g2
+    assert _derivative(g2) == g3
+    # CDF exponents: -(2x^3+9x)/6 at pass shift +1, -(z^3+3z)/6 for the collision
+    assert asymptotics._exponent("pass", 1, 1) == _series(
+        [(0, 2, -1, 2), (1, 3, -1, 3), (1, 1, -3, 2)])
+    assert asymptotics._exponent("collision", 0, 1) == _series(
+        [(0, 2, -1, 2), (1, 3, -1, 6), (1, 1, -1, 2)])
+
+
+def test_generated_moments_equal_the_closed_forms():
+    # series in h^j sqrt(pi/2)^p
+    mean = _series([(0, 1, 1, 1), (1, 0, -5, 3), (2, 1, 11, 24), (3, 0, 4, 135),
+                    (4, 1, -71, 1152)])
+    second = _series([(0, 0, 2, 1), (1, 1, -4, 1), (2, 0, 5, 1), (3, 1, -5, 3), (4, 0, -4, 135)])
+    # (4-pi)/2, -2/3, (160-33pi)/72, -107/540, -(1125pi-1792)/25920 with pi = 2 sqrt(pi/2)^2
+    variance = _series([(0, 0, 2, 1), (0, 2, -1, 1), (1, 1, -2, 3), (2, 0, 20, 9), (2, 2, -11, 12),
+                        (3, 1, -107, 540), (4, 0, 1792, 25920), (4, 2, -2250, 25920)])
+    assert asymptotics._moment("pass", 1, 4) == mean
+    assert asymptotics._moment("pass", 2, 4) == second
+    assert asymptotics._pass_variance(4) == variance
+    # sqrt(2)^k Gamma(k/2+1) and sqrt(2)^(k+1) k(k+4)/6 Gamma((k+1)/2), the two terms of
+    # the former two-term moments, as (power of sqrt(pi/2), rational) pairs
+    terms = [((0, 1), (0, 0)), ((1, 1), (0, Fraction(5, 3))), ((0, 2), (1, 4)), ((1, 3), (0, 14)),
+             ((0, 8), (1, 32)), ((1, 15), (0, 120)), ((0, 48), (1, 300)), ((1, 105), (0, 1232)),
+             ((0, 384), (1, 3360))]
+    for k, ((p0, lead), (p1, corr)) in enumerate(terms):
+        want = {(0, p0): Fraction(lead), (1, p1): -Fraction(corr)}
+        assert asymptotics._moment("pass", k, 1) == {key: c for key, c in want.items() if c}, k
+
+
+def test_generated_opcount_series_equal_the_closed_forms():
+    # with n = h^-2 and E X^k through h^(k+2):
+    # (n E2 - sqrt(n) E1)/2 = n - 5/2 sqrt(pi n/2) + 10/3 - 17/16 sqrt(pi/(2n)) - 4/(135 n)
+    # E[P] = n - sqrt(n) E1 = n - sqrt(pi n/2) + 5/3 - 11/24 sqrt(pi/(2n)) - 4/(135 n)
+    e1 = {(j - 1, p): c for (j, p), c in asymptotics._moment("pass", 1, 3).items()}
+    e2 = {(j - 2, p): c for (j, p), c in asymptotics._moment("pass", 2, 4).items()}
+    reduction = {key: (e2.get(key, 0) - e1.get(key, 0)) / 2 for key in e1.keys() | e2.keys()}
+    assert reduction == _series([(-2, 0, 1, 1), (-1, 1, -5, 2), (0, 0, 10, 3), (1, 1, -17, 16),
+                                 (2, 0, -4, 135)])
+    assert e1 == _series([(-1, 1, 1, 1), (0, 0, -5, 3), (1, 1, 11, 24), (2, 0, 4, 135)])
+    for n in (2, 24, 10**4):
+        root_n, inv_root = math.sqrt(math.pi * n / 2.0), math.sqrt(math.pi / (2.0 * n))
+        passes = n - root_n + 5.0 / 3.0 - 11.0 / 24.0 * inv_root - 4.0 / (135.0 * n)
+        deltas = expected_opcount_deltas(n)
+        assert deltas.comparison_reduction == pytest.approx(
+            n - 2.5 * root_n + 10.0 / 3.0 - 17.0 / 16.0 * inv_root - 4.0 / (135.0 * n), rel=1e-13)
+        assert deltas.flag_writes_early_exit == pytest.approx(passes + n * (n - 1) / 4, rel=1e-13)
+        assert deltas.flag_writes_variant == pytest.approx(2 * passes - 1, rel=1e-13)
+
+
+def test_collision_mean_series_is_ramanujan_q():
+    # E Z = Q(n)/sqrt(n), Q(n) = sqrt(pi n/2) - 1/3 + 1/12 sqrt(pi/(2n)) - 4/(135 n)
+    # + 1/288 sqrt(pi/(2 n^3)) + ...
+    assert asymptotics._moment("collision", 1, 4) == _series(
+        [(0, 1, 1, 1), (1, 0, -1, 3), (2, 1, 1, 12), (3, 0, -4, 135), (4, 1, 1, 288)])
+
+
+@pytest.mark.parametrize("kind", ["pass", "collision"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_moment_residual_falls_at_the_next_order(kind, k):
+    # exact minus the order-J series is Theta(n^-(J+1)/2): 10^(J+1) from n = 10^4 to 10^6
+    moment = {"pass": exact.scaled_pass_moment, "collision": exact.scaled_collision_moment}[kind]
+    for order in range(4):
+        terms = asymptotics._floats(asymptotics._moment, kind, k, order)
+        residuals = [abs(float(moment(n, k) - asymptotics._value(
+            terms, n, asymptotics._ROOT_HALF_PI))) for n in (10**4, 10**6)]
+        assert 0.5 <= residuals[0] / residuals[1] / 10 ** (order + 1) <= 2.0, order
+
+
+def test_stirling_constants_from_bernoulli_unchanged():
+    assert asymptotics._STIRLING_REMAINDER == 5.0 / 66.0 / 90.0
+    literal = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260), Fraction(-1, 1680)]
+    assert [(c.hi, c.lo, c.err) for c in asymptotics._STIRLING_COEFFS] == [
+        (c.hi, c.lo, c.err) for c in map(HPReal.from_fraction, literal)]

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import re
 
 import pytest
 
@@ -187,14 +188,20 @@ def _boundary_argvs():
             yield ("simulate", target, "--kind", kind, "--n", n, "--m", m, "--trials", trials)
 
 
+# a usage message names the argument at fault, as --name or as a bare name
+_NAMES_ARGUMENT = re.compile(r"(?<![\w'])(n|m|k|x|z|t|epsilon|depth|trials|kind)(?![\w'])")
+
+
 def test_boundary_argv_never_crash(capsys):
     # documented codes only: a failed claim (1) can come only from simulate's
-    # statistical checks, and an internal error (4) never
+    # statistical checks, and an internal error (4) never; and no usage error
+    # leaks internal text such as "math domain error"
     allowed = {"exact": {0, 2, 3}, "approx": {0, 2, 3}, "simulate": {0, 1, 2, 3}}
     bad = []
     for argv in _boundary_argvs():
         code, out, err = run_cli(capsys, *argv)
-        if code not in allowed[argv[0]] or "Traceback" in out + err:
+        if code not in allowed[argv[0]] or "Traceback" in out + err or (
+                code == EXIT_USAGE and not _NAMES_ARGUMENT.search(json.loads(err)["error"])):
             bad.append((argv, code, err[-200:]))
     assert not bad
 

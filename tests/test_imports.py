@@ -179,3 +179,17 @@ print(json.dumps({"texts": texts, "numpy": "numpy" in sys.modules}))
     payload = json.loads(out)
     assert payload["texts"] == [HELP_TOP, HELP_VERIFY, HELP_SIMULATE]
     assert payload["numpy"] is False
+
+
+def test_expansion_generator_runs_only_on_first_use():
+    out = _python("""
+import json
+import collisort.cli
+from collisort import asymptotics, powersums
+caches = (asymptotics._exponent, asymptotics._moment, asymptotics._pass_variance,
+          asymptotics._floats, powersums.faulhaber_coefficients)
+sizes = [cache.cache_info().currsize for cache in caches]
+asymptotics.scaled_pass_stats_approx(100)
+print(json.dumps([sizes, [cache.cache_info().currsize > 0 for cache in caches]]))
+""")
+    assert json.loads(out) == [[0] * 5, [True] * 5]
