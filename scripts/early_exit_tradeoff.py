@@ -14,7 +14,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from collisort.asymptotics import expected_opcount_deltas  # noqa: E402
-from collisort.montecarlo import SeededStream, empirical_opcounts  # noqa: E402
+from collisort.montecarlo import (  # noqa: E402
+    SeededStream,
+    empirical_opcounts,
+    opcount_deviations,
+)
 
 
 def main() -> None:
@@ -37,15 +41,8 @@ def main() -> None:
     n = args.n_grid[-1]
     print(f"\nsimulation check at n={n}, {args.trials} trials:")
     counters = empirical_opcounts(n, args.trials, SeededStream(args.seed, 0))
-    d = expected_opcount_deltas(n)
-    for name, expected in (
-        ("comparison_reduction", d.comparison_reduction),
-        ("flag_writes_early_exit", d.flag_writes_early_exit),
-        ("flag_writes_variant", d.flag_writes_variant),
-    ):
-        s = counters[name]
-        dev = abs(s.mean - expected) / s.se_mean if s.se_mean else 0.0
-        print(f"  {name:<24} mean {s.mean:>16.2f}  expected {expected:>16.2f}"
+    for name, (expected, dev) in opcount_deviations(n, counters).items():
+        print(f"  {name:<24} mean {counters[name].mean:>16.2f}  expected {expected:>16.2f}"
               f"  ({dev:.2f} se)")
 
 

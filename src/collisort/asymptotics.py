@@ -374,21 +374,25 @@ class ExpectedOpDeltas:
     flag_writes_variant: float
     n: int
 
+    @classmethod
+    def from_moments(cls, n: int, e1: float, e2: float) -> ExpectedOpDeltas:
+        """The deltas from E X and E X^2 of X = (n - P)/sqrt(n):
+          comparison_reduction   = E[(n-P-1)(n-P)/2] = (n E X^2 - sqrt(n) E X)/2;
+          flag_writes_early_exit = E[P] + E[total inversions] = E[P] + n(n-1)/4;
+          flag_writes_variant    = 2 E[P] - 1, since the variant writes its
+                                   flag 2P - 1 times per run;
+        with E[P] = n - sqrt(n) E X.
+        """
+        sq = math.sqrt(n)
+        passes = n - sq * e1
+        return cls((n * e2 - sq * e1) / 2.0, passes + n * (n - 1) / 4.0, 2.0 * passes - 1.0, n)
+
 
 def expected_opcount_deltas(n: int) -> ExpectedOpDeltas:
-    """Expansions of the expected operation-count deltas, through the 1/n term.
-
-    With n - P = sqrt(n) X and E X^k generated through n^(-(k+2)/2):
-      comparison_reduction   = E[(n-P-1)(n-P)/2] = (n E X^2 - sqrt(n) E X)/2;
-      flag_writes_early_exit = E[P] + E[total inversions] = E[P] + n(n-1)/4;
-      flag_writes_variant    = 2 E[P] - 1, since the variant writes its
-                               flag 2P - 1 times per run;
-    with E[P] = n - sqrt(n) E X.
+    """Expansions of the expected operation-count deltas, through the 1/n term,
+    from E X^k generated through n^(-(k+2)/2) (see ExpectedOpDeltas.from_moments).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    sq = math.sqrt(n)
     e1, e2 = (_value(_floats(_moment, "pass", k, k + 2), n, _ROOT_HALF_PI) for k in (1, 2))
-    passes = n - sq * e1
-    return ExpectedOpDeltas((n * e2 - sq * e1) / 2.0, passes + n * (n - 1) / 4.0,
-                            2.0 * passes - 1.0, n)
+    return ExpectedOpDeltas.from_moments(n, e1, e2)

@@ -118,6 +118,15 @@ def _with_reference(value: float, reference: float) -> dict:
     }
 
 
+# approx cdf/pmf: per side, the lattice kind, its option and its expansion
+_LATTICE_APPROX = {
+    "cdf": (("pass", "x", asymptotics.scaled_pass_cdf_approx),
+            ("collision", "z", asymptotics.scaled_collision_cdf_approx)),
+    "pmf": (("pass", "x", asymptotics.scaled_pass_pmf_approx),
+            ("collision", "z", asymptotics.scaled_collision_pmf_approx)),
+}
+
+
 def _cmd_approx(args) -> tuple[list[dict], int]:
     t = args.target
     n = args.n
@@ -136,42 +145,18 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
         if abs(mf - round(mf)) < 1e-8 and 0 <= round(mf) <= n - 1:
             row.update(_with_reference(value, float(asymptotics.scaled_pass_survival(n, args.x))))
         rows.append(row)
-    elif t == "cdf":
-        if args.x is not None:
-            m = round(args.x * math.sqrt(n))
-            rows.append({
-                "target": "scaled-pass-cdf", "n": n, "x": args.x,
-                **_with_reference(asymptotics.scaled_pass_cdf_approx(n, args.x),
-                                  1.0 - float(exact.pass_cdf(n, m + 1)) if m + 1 < n else 1.0),
-            })
-        if args.z is not None:
-            j = round(args.z * math.sqrt(n))
-            rows.append({
-                "target": "scaled-collision-cdf", "n": n, "z": args.z,
-                **_with_reference(asymptotics.scaled_collision_cdf_approx(n, args.z),
-                                  1.0 - float(exact.collision_sf(n, j))),
-            })
+    elif t in _LATTICE_APPROX:
+        for kind, arg, approx in _LATTICE_APPROX[t]:
+            point = getattr(args, arg)
+            if point is None:
+                continue
+            value = approx(n, point)  # rejects points off the lattice
+            v = round(point * math.sqrt(n))  # pass deficit n - P or collision C - 1
+            sf, sf_next = (float(exact.lattice_sf(kind, n, w)) for w in (v, v + 1))
+            rows.append({"target": f"scaled-{kind}-{t}", "n": n, arg: point,
+                         **_with_reference(value, 1.0 - sf_next if t == "cdf" else sf - sf_next)})
         if not rows:
-            raise ValueError("cdf target needs --x (pass side) and/or --z (collision side)")
-    elif t == "pmf":
-        if args.x is not None:
-            m = round(args.x * math.sqrt(n))
-            ref = float(exact.pass_cdf(n, m)) - (
-                float(exact.pass_cdf(n, m + 1)) if m + 1 < n else 0.0
-            )
-            rows.append({
-                "target": "scaled-pass-pmf", "n": n, "x": args.x,
-                **_with_reference(asymptotics.scaled_pass_pmf_approx(n, args.x), ref),
-            })
-        if args.z is not None:
-            j = round(args.z * math.sqrt(n))
-            ref = float(exact.collision_sf(n, j - 1)) - float(exact.collision_sf(n, j))
-            rows.append({
-                "target": "scaled-collision-pmf", "n": n, "z": args.z,
-                **_with_reference(asymptotics.scaled_collision_pmf_approx(n, args.z), ref),
-            })
-        if not rows:
-            raise ValueError("pmf target needs --x (pass side) and/or --z (collision side)")
+            raise ValueError(f"{t} target needs --x (pass side) and/or --z (collision side)")
     elif t == "moments":
         rows.append({
             "target": t, "n": n, "k": args.k,
@@ -203,12 +188,11 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
         })
     elif t == "opt-deltas":
         deltas = asymptotics.expected_opcount_deltas(n)
-        e1 = float(exact.scaled_pass_moment(n, 1))
-        e2 = float(exact.scaled_pass_moment(n, 2))
-        exact_reduction = (n * e2 - math.sqrt(n) * e1) / 2.0
+        exact_deltas = asymptotics.ExpectedOpDeltas.from_moments(
+            n, *(float(exact.scaled_pass_moment(n, k)) for k in (1, 2)))
         rows.append({
             "target": "comparison-reduction", "n": n,
-            **_with_reference(deltas.comparison_reduction, exact_reduction),
+            **_with_reference(deltas.comparison_reduction, exact_deltas.comparison_reduction),
         })
         rows.append({"target": "flag-writes-early-exit", "n": n,
                      "value": deltas.flag_writes_early_exit})

@@ -298,6 +298,23 @@ def collision_survival_sequence(n: float, floor: float = SURVIVAL_FLOOR):
         m += 1
 
 
+# lattice of each scaled statistic: its survival sequence yields
+# (m, P{value >= m + first}) for lattice values first, first + 1, ...
+LATTICES = {
+    "pass": (pass_survival_sequence, 0),  # deficit d = n - P
+    "collision": (collision_survival_sequence, 1),  # j = C - 1
+}
+
+
+def lattice_sf(kind: str, n: int, v: int) -> HPReal:
+    """P{value >= v} at lattice value v >= first of ``kind``: term m = v - first
+    of its survival sequence, from the product form; 0 past the last value."""
+    m = v - LATTICES[kind][1]
+    if m >= n:
+        return hp(0.0)
+    return pass_cdf(n, m) if kind == "pass" else collision_sf(n, m)
+
+
 def _falling_product(n: float, m: int) -> HPReal:
     """prod_{k=1..m} (1 - k/n) for 0 <= m < n, factor by factor."""
     return next(sf for j, sf in collision_survival_sequence(n, floor=0.0) if j == m)
@@ -338,7 +355,7 @@ def scaled_pass_moment(n: int, k: int) -> HPReal:
     E = (-1/sqrt n)^k + sum_m ((m/sqrt n)^k - ((m-1)/sqrt n)^k) * rho(m)
     with rho(m) = P{P_n <= n-m}.
     """
-    return _abel_moment(n, k, pass_survival_sequence, first=0)
+    return _abel_moment(n, k, *LATTICES["pass"])
 
 
 def scaled_pass_variance(n: int) -> HPReal:
@@ -378,4 +395,4 @@ def scaled_collision_moment(n: int, k: int) -> HPReal:
     E = sum_{j=1..n} ((j/sqrt n)^k - ((j-1)/sqrt n)^k) * P{C_n > j}
     with P{C_n > j} = collision_sf(n, j-1).
     """
-    return _abel_moment(n, k, collision_survival_sequence, first=1)
+    return _abel_moment(n, k, *LATTICES["collision"])

@@ -17,15 +17,9 @@ import numpy as np
 
 from . import asymptotics, exact
 from .poisson_approx import match_family, stein_chen_bound, tv_distance_to_poisson
-from .sorters import (
-    ResourceBoundError,
-    bubble_sort_instrumented,
-    opcounts_from_stats,
-    permutation_from_inversion_table,
-)
+from .sorters import ResourceBoundError, opcounts_from_stats
 
 DEFAULT_SEED = 0x5EED_B0B5
-SORT_DIRECT_LIMIT = 24  # run real instrumented sorts up to this n
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12
 _CHUNK_BYTES = 8_000_000  # per-chunk occupancy bitmap or draw matrix
 
@@ -157,18 +151,10 @@ def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-# lattice of each scaled statistic: its survival sequence yields
-# (m, P{value >= m + first}) for lattice values first, first + 1, ...
-_LATTICES = {
-    "pass": (exact.pass_survival_sequence, 0),  # deficit d = n - P
-    "collision": (exact.collision_survival_sequence, 1),  # j = C - 1
-}
-
-
 def _exact_lattice(kind: str, n: int, length: int):
     """At the first ``length`` lattice values v: the points v/sqrt(n), the exact
     CDF P{value <= v} = 1 - P{value >= v + 1} and the standard Rayleigh CDF."""
-    survival, first = _LATTICES[kind]
+    survival, first = exact.LATTICES[kind]
     surv = np.zeros(length + 1)
     for m, s in survival(n):
         if m > length:
@@ -227,7 +213,7 @@ def merge_tallies(tallies: Iterable[np.ndarray]) -> np.ndarray:
 def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummary:
     """Summary statistics plus KS distances computed from a lattice tally."""
     trials = int(tally.sum())
-    first = _LATTICES[kind][1]
+    first = exact.LATTICES[kind][1]
     length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()) + 1 - first)
     length = min(length, tally.size - first)
     counts = tally[first : first + length].astype(np.float64)
@@ -283,7 +269,8 @@ def empirical_pair_matches(
         raise ResourceBoundError(
             f"pair-match simulation of {(m + 1) * trials} draws exceeds the resource bound"
         )
-    mu = stein_chen_bound(match_family(kind, n, m)).mu
+    family = match_family(kind, n, m)
+    mu = stein_chen_bound(family).mu
     cols = m + 1
     rng = stream.generator()
     chunk = max(1, _CHUNK_BYTES // (8 * cols))  # int64 draws
@@ -294,8 +281,8 @@ def empirical_pair_matches(
             draws = rng.integers(0, n, size=(rows, cols))
         else:
             draws = np.empty((rows, cols), dtype=np.int64)
-            for i in range(1, cols + 1):
-                draws[:, i - 1] = rng.integers(0, n - i + 1, size=rows)
+            for col, size in enumerate(family.supports):
+                draws[:, col] = rng.integers(0, size, size=rows)
         tally += np.bincount(_pair_match_counts(draws), minlength=tally.size)
 
     probs = tally / trials
@@ -345,41 +332,28 @@ def empirical_opcounts(
 ) -> dict[str, EmpiricalSummary]:
     """Mean operation-count deltas of the early-exit variants vs plain sort.
 
-    Small n runs the instrumented sorts on permutations materialized from
-    sampled inversion tables; larger n derives the per-run counts from
-    (passes, inversions) through the per-permutation identities that the
-    exhaustive small-n suite verifies exactly.
+    Each run's counts follow from its (passes, inversions), the maximum + 1
+    and the sum of its inversion table, through the per-permutation
+    identities of `sorters.opcounts_from_stats`, which the exhaustive small-n
+    suite verifies exactly.  Every row draws every column, unlike the
+    frozen-row pass sampler, since the inversion sum needs all of them.
     """
     if n < 2 or trials < 1:
         raise ValueError("need n >= 2 and trials >= 1")
     rng = stream.generator()
-    if n <= SORT_DIRECT_LIMIT:
-        reductions = np.empty(trials)
-        flags_opt = np.empty(trials)
-        flags_var = np.empty(trials)
-        tables = rng.integers(0, np.arange(n, 0, -1), size=(trials, n))
-        for t, table in enumerate(tables.tolist()):
-            perm = permutation_from_inversion_table(table)
-            _, plain = bubble_sort_instrumented(perm, "plain")
-            _, early = bubble_sort_instrumented(perm, "early_exit")
-            _, variant = bubble_sort_instrumented(perm, "early_exit_variant")
-            reductions[t] = plain.comparisons - early.comparisons
-            flags_opt[t] = early.bool_assignments
-            flags_var[t] = variant.bool_assignments
-    else:
-        maxes = np.zeros(trials, dtype=np.int64)
-        sums = np.zeros(trials, dtype=np.int64)
-        for i in range(1, n + 1):
-            draws = rng.integers(0, n - i + 1, size=trials)
-            np.maximum(maxes, draws, out=maxes)
-            sums += draws
-        passes = maxes + 1
-        plain = opcounts_from_stats(n, passes, sums, "plain")
-        early = opcounts_from_stats(n, passes, sums, "early_exit")
-        variant = opcounts_from_stats(n, passes, sums, "early_exit_variant")
-        reductions = (plain.comparisons - early.comparisons).astype(np.float64)
-        flags_opt = early.bool_assignments.astype(np.float64)
-        flags_var = variant.bool_assignments.astype(np.float64)
+    maxes = np.zeros(trials, dtype=np.int64)
+    sums = np.zeros(trials, dtype=np.int64)
+    for i in range(1, n + 1):
+        draws = rng.integers(0, n - i + 1, size=trials)
+        np.maximum(maxes, draws, out=maxes)
+        sums += draws
+    passes = maxes + 1
+    plain = opcounts_from_stats(n, passes, sums, "plain")
+    early = opcounts_from_stats(n, passes, sums, "early_exit")
+    variant = opcounts_from_stats(n, passes, sums, "early_exit_variant")
+    reductions = (plain.comparisons - early.comparisons).astype(np.float64)
+    flags_opt = early.bool_assignments.astype(np.float64)
+    flags_var = variant.bool_assignments.astype(np.float64)
 
     def summary(name: str, values: np.ndarray) -> EmpiricalSummary:
         mean = float(values.mean())
@@ -421,10 +395,15 @@ def tv_limit(bound: float, tv_se: float) -> float:
 
 def opcount_deviations(n: int, counters: dict) -> dict[str, tuple[float, float]]:
     """Per counter of empirical_opcounts: (expected value from
-    asymptotics.expected_opcount_deltas, |mean - expected| in standard errors)."""
+    asymptotics.expected_opcount_deltas, |mean - expected| in standard errors).
+
+    A counter with zero spread is off by 0 se only at its exact expectation,
+    and by infinitely many otherwise.
+    """
     deltas = asymptotics.expected_opcount_deltas(n)
     out = {}
     for name, s in counters.items():
         target = getattr(deltas, name)
-        out[name] = (target, abs(s.mean - target) / s.se_mean if s.se_mean else 0.0)
+        gap = abs(s.mean - target)
+        out[name] = (target, gap / s.se_mean if s.se_mean else (math.inf if gap else 0.0))
     return out

@@ -1,21 +1,24 @@
-"""Stein-Chen total-variation bounds for dissociated pair-indicator families.
+"""Stein-Chen total-variation bounds for match counts among nested uniforms.
 
-A family assigns to each unordered index pair {i, j} of a base set an
-indicator variable; dissociation means collections living on disjoint
-index supports are independent.  The total-variation distance between the
-sum of the indicators and the Poisson law with the same mean is bounded by
+A family holds independent entries U_1, ..., U_t, entry i uniform on
+{0..s_i - 1}, with support sizes s_1 >= s_2 >= ... >= s_t >= 1, so each
+support lies inside every earlier one.  Birthday draws have every s_i = n;
+inversion-table entries have s_i = n - i + 1.  The count W of matching
+pairs {i, j} (U_i = U_j) sums dissociated indicators: collections living
+on disjoint index sets are independent.  By Arratia, Goldstein and Gordon
+(1989) the total-variation distance between W and the Poisson law with
+the same mean is bounded by
 
     (1 - e^-mu)/mu * [ sum (E D)^2
                        + sum over overlapping pairs (E D E D' + E(D D'))]
 
-which is computable from pair means and overlapping-triple means alone.
+which is computable from the support sizes alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +31,60 @@ ENUM_INVERSION_N = 8
 
 @dataclass(frozen=True)
 class DissociatedFamily:
-    """Pair-indexed indicator family described by its first two joint moments.
+    """Pair-match indicators among independent uniforms on nested supports.
 
-    ``pair_mean(i, j)`` is E of the {i,j} indicator; ``triple_mean(i, j, k)``
-    is E of the product of the {i,j} and {i,k} indicators for distinct
-    i, j, k.  ``index_predicate`` selects which pairs belong to the family.
-    ``triple_sum_fn``, when provided, returns the full ordered triple sum in
-    closed form; without it the bound falls back to the O(|T|^3) loop.
+    Entry i (1-based) is uniform on {0..supports[i-1] - 1}; the supports
+    are positive and non-increasing.  Summing over the common support, a
+    pair of entries matches with probability 1/(larger support) and a
+    triple with probability 1/(product of the two larger supports).
     """
 
-    base_set_size: int
-    pair_mean: Callable[[int, int], float]
-    triple_mean: Callable[[int, int, int], float]
-    index_predicate: Callable[[int, int], bool] = field(default=lambda i, j: True)
-    triple_sum_fn: Callable[[], float] | None = None
+    supports: tuple[int, ...]
     label: str = ""
+
+    def __post_init__(self):
+        s = self.supports
+        if any(size < 1 for size in s) or any(a < b for a, b in zip(s, s[1:])):
+            raise ValueError(f"supports must be positive and non-increasing, got {s}")
+
+    @property
+    def base_set_size(self) -> int:
+        return len(self.supports)
+
+    def _support(self, i: int) -> int:
+        if not 1 <= i <= len(self.supports):
+            raise ValueError(f"index {i} outside 1..{len(self.supports)}")
+        return self.supports[i - 1]
 
     def pairs(self) -> list[tuple[int, int]]:
         t = self.base_set_size
-        return [
-            (i, j)
-            for i in range(1, t + 1)
-            for j in range(i + 1, t + 1)
-            if self.index_predicate(i, j)
-        ]
+        return [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
+
+    def pair_mean(self, i: int, j: int) -> float:
+        """E of the {i,j} indicator."""
+        return 1.0 / max(self._support(i), self._support(j))
+
+    def triple_mean(self, i: int, j: int, k: int) -> float:
+        """E of the product of the {i,j} and {i,k} indicators, i, j, k distinct."""
+        a, b, _ = sorted((self._support(i), self._support(j), self._support(k)), reverse=True)
+        return 1.0 / (a * b)
+
+    def triple_sum(self) -> float:
+        """The ordered overlapping-triple sum in O(|T|).
+
+        For a < b < c the triple match has probability 1/(s_a s_b); the
+        ordered sum counts each unordered triple six times, and prefix sums
+        over 1/s_t give the sum over a < b for each c.
+        """
+        total = 0.0
+        running = 0.0  # sum of 1/s_t for t < c
+        running_sq = 0.0  # sum of 1/s_t^2 for t < c
+        for size in self.supports:
+            total += (running * running - running_sq) / 2.0
+            inv = 1.0 / size
+            running += inv
+            running_sq += inv * inv
+        return 6.0 * total
 
 
 @dataclass(frozen=True)
@@ -65,71 +98,20 @@ class SteinChenReport:
 
 
 def birthday_family(n: int, m: int) -> DissociatedFamily:
-    """Match indicators among the first m+1 uniform draws on n days.
-
-    Any pair matches with probability 1/n; two pairs sharing a person
-    match jointly with probability 1/n^2.
-    """
+    """Match indicators among the first m+1 uniform draws on n days."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    inv_n = 1.0 / n
-    inv_n2 = inv_n * inv_n
-    return DissociatedFamily(
-        base_set_size=m + 1,
-        pair_mean=lambda i, j: inv_n,
-        triple_mean=lambda i, j, k: inv_n2,
-        triple_sum_fn=lambda: (m + 1) * m * (m - 1) * inv_n2,
-        label=f"birthday(n={n}, m={m})",
-    )
+    return DissociatedFamily((n,) * (m + 1), f"birthday(n={n}, m={m})")
 
 
 def inversion_family(n: int, m: int) -> DissociatedFamily:
-    """Match indicators among the first m+1 inversion-table entries.
-
-    Entry i is uniform on {0..n-i} (support size n-i+1).  Means follow
-    by summing over the common support; the per-value summands are
-    constant, so each sum collapses to (common support size) times the
-    product of reciprocal support sizes.
-    """
+    """Match indicators among the first m+1 inversion-table entries;
+    entry i is uniform on {0..n-i}."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     if m + 1 > n:
         raise ValueError(f"inversion family needs m+1 <= n, got m={m}, n={n}")
-
-    def support(i: int) -> int:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} outside 1..{n}")
-        return n - i + 1
-
-    def pair_mean(i: int, j: int) -> float:
-        common = min(support(i), support(j))
-        return common / (support(i) * support(j))
-
-    def triple_mean(i: int, j: int, k: int) -> float:
-        common = min(support(i), support(j), support(k))
-        return common / (support(i) * support(j) * support(k))
-
-    def triple_sum() -> float:
-        # joint triple-match probability for sorted a < b < c reduces by
-        # value summation to 1/(s_a s_b); the ordered sum counts each
-        # unordered triple six times; prefix sums make it O(m)
-        total = 0.0
-        running = 0.0  # sum of 1/s_t for t < c
-        running_sq = 0.0  # sum of 1/s_t^2 for t < c
-        for c in range(1, m + 2):
-            total += (running * running - running_sq) / 2.0
-            inv = 1.0 / support(c)
-            running += inv
-            running_sq += inv * inv
-        return 6.0 * total
-
-    return DissociatedFamily(
-        base_set_size=m + 1,
-        pair_mean=pair_mean,
-        triple_mean=triple_mean,
-        triple_sum_fn=triple_sum,
-        label=f"inversion(n={n}, m={m})",
-    )
+    return DissociatedFamily(tuple(range(n, n - m - 1, -1)), f"inversion(n={n}, m={m})")
 
 
 def match_family(kind: str, n: int, m: int) -> DissociatedFamily:
@@ -152,52 +134,37 @@ def stein_chen_bound(family: DissociatedFamily) -> SteinChenReport:
     if not pairs:
         return SteinChenReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     t = family.base_set_size
-    means = {}
     mu = 0.0
     sq = 0.0
     row = [0.0] * (t + 1)
     for i, j in pairs:
         e = family.pair_mean(i, j)
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"pair mean out of [0,1] at ({i},{j}): {e}")
-        means[(i, j)] = e
         mu += e
         sq += e * e
         row[i] += e
         row[j] += e
     cross = sum(r * r for r in row) - 2.0 * sq
-
-    if family.triple_sum_fn is not None:
-        triple = family.triple_sum_fn()
-    else:
-        triple = ordered_triple_sum(family, means)
-
-    if mu <= 0.0:
-        return SteinChenReport(0.0, 0.0, t * sq, triple, sq, cross)
+    triple = family.triple_sum()
     factor = -math.expm1(-mu) / mu
     tv_bound = factor * (sq + cross + triple)
     return SteinChenReport(mu, tv_bound, t * sq, triple, sq, cross)
 
 
-def ordered_triple_sum(family: DissociatedFamily, means: dict | None = None) -> float:
+def ordered_triple_sum(family: DissociatedFamily) -> float:
     """The ordered overlapping-triple sum by the literal O(|T|^3) loop.
 
-    Serves as the oracle for the families' closed-form aggregates; also
-    validates each triple mean against its pair-mean cap.
+    Serves as the oracle for ``triple_sum``; also validates each triple
+    mean against its pair-mean cap.
     """
     t = family.base_set_size
-    if means is None:
-        means = {(i, j): family.pair_mean(i, j) for i, j in family.pairs()}
-    in_family = means.__contains__
+    means = {(i, j): family.pair_mean(i, j) for i, j in family.pairs()}
     triple = 0.0
     for i in range(1, t + 1):
         for j in range(1, t + 1):
-            if j == i or not in_family((min(i, j), max(i, j))):
+            if j == i:
                 continue
             for k in range(1, t + 1):
                 if k == i or k == j:
-                    continue
-                if not in_family((min(i, k), max(i, k))):
                     continue
                 e = family.triple_mean(i, j, k)
                 cap = min(
@@ -250,7 +217,7 @@ def poisson_limit_functionals(family: DissociatedFamily) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _mixed_radix_states(radices: list[int]) -> np.ndarray:
+def _mixed_radix_states(radices: tuple[int, ...]) -> np.ndarray:
     """All tuples of the product space, one row per state."""
     total = 1
     for r in radices:
@@ -267,21 +234,14 @@ def _mixed_radix_states(radices: list[int]) -> np.ndarray:
 
 def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
     """Exact law of the pairwise match count by full enumeration."""
-    if kind == "birthday":
-        if not 1 <= n <= ENUM_BIRTHDAY_N:
-            raise ResourceBoundError(f"birthday enumeration bounded at n <= {ENUM_BIRTHDAY_N}")
-        if m > n:
-            raise ValueError("need m <= n")
-        radices = [n] * (m + 1)
-    elif kind == "inversion":
-        if not 1 <= n <= ENUM_INVERSION_N:
-            raise ResourceBoundError(f"inversion enumeration bounded at n <= {ENUM_INVERSION_N}")
-        if m + 1 > n:
-            raise ValueError("need m+1 <= n")
-        radices = [n - i + 1 for i in range(1, m + 2)]
-    else:
+    limit = {"birthday": ENUM_BIRTHDAY_N, "inversion": ENUM_INVERSION_N}.get(kind)
+    if limit is None:
         raise ValueError(f"unknown kind {kind!r}")
-    states = _mixed_radix_states(radices)
+    if not 1 <= n <= limit:
+        raise ResourceBoundError(f"{kind} enumeration bounded at n <= {limit}")
+    if m > n:
+        raise ValueError("need m <= n")
+    states = _mixed_radix_states(match_family(kind, n, m).supports)
     total = states.shape[0]
     counts = np.zeros(total, dtype=np.int64)
     cols = states.shape[1]

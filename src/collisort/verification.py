@@ -254,21 +254,16 @@ def suite_asymptotic_orders() -> list[ClaimResult]:
                       f"ratios {r1:.1f}, {r2:.1f}", "[16, 64]",
                       "survival expansion error per n quadrupling at x=1"))
 
-    for kind, tag in (("pass", "ORD-CDF-PASS"), ("collision", "ORD-CDF-COLL")):
+    for kind, tag, cdf_approx in (("pass", "ORD-CDF-PASS", asymptotics.scaled_pass_cdf_approx),
+                                  ("collision", "ORD-CDF-COLL",
+                                   asymptotics.scaled_collision_cdf_approx)):
         ratios = []
         for pair in ((500, 1000), (1000, 2000)):
             errs = []
             for n in pair:
-                sq = math.sqrt(n)
-                m = round(sq)
-                x = m / sq
-                if kind == "pass":
-                    approx = asymptotics.scaled_pass_cdf_approx(n, x)
-                    truth = 1.0 - float(exact.pass_cdf(n, m + 1))
-                else:
-                    approx = asymptotics.scaled_collision_cdf_approx(n, x)
-                    truth = 1.0 - float(exact.collision_sf(n, m))
-                errs.append(abs(approx - truth))
+                v = round(math.sqrt(n))  # lattice value nearest x = 1
+                truth = 1.0 - float(exact.lattice_sf(kind, n, v + 1))
+                errs.append(abs(cdf_approx(n, v / math.sqrt(n)) - truth))
             ratios.append(errs[0] / errs[1])
         ok = all(1.5 <= r <= 3.0 for r in ratios)
         out.append(_check(tag, ok, f"ratios {ratios[0]:.2f}, {ratios[1]:.2f}", "[1.5, 3]",

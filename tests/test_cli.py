@@ -4,12 +4,13 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 
 import pytest
 
 from collisort import cli
-from collisort.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from collisort.cli import EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from collisort.montecarlo import tv_limit
 
 
@@ -137,6 +138,17 @@ def test_simulate_opcounts_rows(capsys):
     rows = json.loads(out)["rows"]
     by_kind = {r["kind"]: r for r in rows}
     assert by_kind["comparison_reduction"]["mean"] == 0.0
+
+
+def test_simulate_opcounts_assert_fails_on_zero_spread_miss(capsys):
+    # at n = 2 every run saves 0 comparisons, a zero-spread counter that
+    # misses the expansion's value: infinitely many standard errors off
+    code, out, _ = run_cli(
+        capsys, "simulate", "opcounts", "--n", "2", "--trials", "100", "--assert",
+    )
+    assert code == EXIT_FAILURE
+    row = {r["kind"]: r for r in json.loads(out)["rows"]}["comparison_reduction"]
+    assert row["se_mean"] == 0.0 and row["deviation_se"] == math.inf
 
 
 def test_usage_error_exit_code(capsys):

@@ -208,6 +208,13 @@ def test_pair_matches_birthday_draws_unchanged():
     assert summary.tv_distance == 0.01901767313459823
 
 
+def test_pair_matches_inversion_draws_unchanged():
+    # one column per support size, over three chunks of rows
+    summary = empirical_pair_matches("inversion", 365, 22, 10**5, SeededStream(DEFAULT_SEED))
+    assert summary.mean == 0.70841
+    assert summary.tv_distance == 0.019523161269379623
+
+
 def test_pair_matches_zero_depth():
     summary = empirical_pair_matches("birthday", 365, 0, 2000, SeededStream(5, 5))
     assert summary.mean == 0.0
@@ -253,19 +260,18 @@ def test_opcounts_n2_zero_reduction():
     assert counters["comparison_reduction"].mean == 0.0
 
 
-def test_opcounts_small_n_runs_real_sorts():
+def test_opcounts_small_n_variant_flags_match_exact_passes():
     n, trials = 6, 2000
     counters = empirical_opcounts(n, trials, SeededStream(21, 0))
     assert counters["flag_writes_early_exit"].sample_count == trials
-    # the direct-sort path must agree with 2 E(P) - 1 for the variant
+    # at small n the variant's mean flag writes agree with 2 E(P) - 1
     expected_passes = n - math.sqrt(n) * float(exact.scaled_pass_moment(n, 1))
     s = counters["flag_writes_variant"]
     assert abs(s.mean - (2.0 * expected_passes - 1.0)) <= 5.0 * s.se_mean
 
 
-def test_opcounts_identities_bridge_small_and_large_paths():
-    # same seed, n straddling the direct-sort limit: means stay consistent
-    # with the lemma-derived expectations
+def test_opcounts_means_match_expansions_at_n30():
+    # means stay consistent with the lemma-derived expectations
     from collisort.asymptotics import expected_opcount_deltas
 
     n, trials = 30, 4000

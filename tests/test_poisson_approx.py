@@ -68,6 +68,15 @@ def test_inversion_family_means_by_enumeration():
         assert fam.triple_mean(i, j, k) == pytest.approx(hits / total)
 
 
+def test_family_supports_must_be_positive_and_non_increasing():
+    for supports in ((3, 0), (0,), (2, 3), (5, 4, 4, 5), (-1, -2)):
+        with pytest.raises(ValueError):
+            DissociatedFamily(supports)
+    assert DissociatedFamily((5, 5, 3, 1)).base_set_size == 4
+    assert birthday_family(7, 3).supports == (7, 7, 7, 7)
+    assert inversion_family(7, 3).supports == (7, 6, 5, 4)
+
+
 def test_inversion_family_validation():
     with pytest.raises(ValueError):
         inversion_family(4, 4)  # m+1 > n
@@ -136,7 +145,7 @@ def test_triple_sum_aggregates_match_literal_loop():
         inversion_family(30, 9),
         inversion_family(8, 6),
     ):
-        assert fam.triple_sum_fn() == pytest.approx(ordered_triple_sum(fam), rel=1e-12)
+        assert fam.triple_sum() == pytest.approx(ordered_triple_sum(fam), rel=1e-12)
 
 
 # -- limit-hypothesis functionals -----------------------------------------------------

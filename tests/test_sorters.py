@@ -137,6 +137,18 @@ def test_exhaustive_small_counts_match_stat_identities():
                 assert counts == opcounts_from_stats(n, passes, inversions, variant)
 
 
+@pytest.mark.parametrize("n", [9, 16, 24])
+def test_sampled_counts_match_stat_identities(n):
+    # beyond exhaustive n: the (max + 1, sum) of a sampled inversion table give
+    # exactly the counts the instrumented sorts make on its permutation
+    rng = np.random.default_rng(n)
+    for table in rng.integers(0, np.arange(n, 0, -1), size=(300, n)).tolist():
+        p = permutation_from_inversion_table(table)
+        for variant in ("plain", "early_exit", "early_exit_variant"):
+            _, counts = bubble_sort_instrumented(p, variant)
+            assert counts == opcounts_from_stats(n, max(table) + 1, sum(table), variant)
+
+
 def test_random_large_correctness():
     rng = np.random.default_rng(20260808)
     target = tuple(range(1, 201))
