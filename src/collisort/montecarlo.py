@@ -380,7 +380,7 @@ def empirical_opcounts(
 # ---------------------------------------------------------------------------
 
 TV_BOUND_SE = 3.0  # sampled TV may exceed the Stein-Chen bound by this many se
-OPCOUNT_SE = 4.0  # sampled opcount means may miss the expansions by this many se
+OPCOUNT_SE = 4.0  # sampled opcount means may miss the exact means by this many se
 
 
 def ks_critical_1pct(trials: int) -> float:
@@ -394,16 +394,21 @@ def tv_limit(bound: float, tv_se: float) -> float:
 
 
 def opcount_deviations(n: int, counters: dict) -> dict[str, tuple[float, float]]:
-    """Per counter of empirical_opcounts: (expected value from
-    asymptotics.expected_opcount_deltas, |mean - expected| in standard errors).
+    """Per counter of empirical_opcounts: (exact expected value, the column
+    `approx opt-deltas` prints, from exact.scaled_pass_moment; |mean -
+    expected| in standard errors).
 
-    A counter with zero spread is off by 0 se only at its exact expectation,
-    and by infinitely many otherwise.
+    A counter with zero spread is off by 0 se when its mean is within the
+    float rounding of the expected value, and by infinitely many otherwise.
     """
-    deltas = asymptotics.expected_opcount_deltas(n)
+    deltas = asymptotics.ExpectedOpDeltas.from_moments(
+        n, *(float(exact.scaled_pass_moment(n, k)) for k in (1, 2)))
     out = {}
     for name, s in counters.items():
         target = getattr(deltas, name)
         gap = abs(s.mean - target)
-        out[name] = (target, gap / s.se_mean if s.se_mean else (math.inf if gap else 0.0))
+        if s.se_mean:
+            out[name] = (target, gap / s.se_mean)
+        else:
+            out[name] = (target, 0.0 if gap <= 1e-12 * max(1.0, abs(target)) else math.inf)
     return out

@@ -11,6 +11,13 @@ pass completes with no swap.
 Counting conventions: the per-pass flag initialization counts as one
 boolean assignment and so does each flag set; comparisons count one per
 adjacent pair inspected; swaps count element exchanges.
+
+The scalar functions (``bubble_sort_instrumented``, ``pass_count``,
+``inversion_table``) are the reference.  Their batch forms ``sort_rows``,
+``pass_counts`` and ``inversion_tables`` take a 2-D integer array with one
+permutation per row and step every row in lockstep, one column pair at a
+time in the scalar pass and pair order.  They import numpy when called and
+return arrays of the smallest signed integer types that hold their values.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:
     n = len(p)
     if n == 0:
         raise ValueError("permutation must be nonempty")
+    if any(v.__class__ is bool or not isinstance(v, int) for v in p):
+        raise ValueError(f"permutation entries must be ints: {p!r}")
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {p!r}")
     return p
@@ -235,6 +244,112 @@ def opcounts_from_stats(n: int, passes: int, inversions: int, variant: str) -> O
     if variant == "early_exit_variant":
         return OpCounts(comparisons, inversions, 2 * passes - 1, passes)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+# ---------------------------------------------------------------------------
+# batch forms: one permutation per row, every row in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _columns(rows):
+    """Validated permutation rows, transposed to an (n, rows) array of the
+    smallest signed type holding n, so that each position is one contiguous
+    column."""
+    import numpy as np
+
+    a = np.asarray(rows)
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"need a 2-D array of nonempty permutation rows, got shape {a.shape}")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"permutation entries must be integers, got dtype {a.dtype}")
+    n = a.shape[1]
+    bad = np.flatnonzero((np.sort(a, axis=1) != np.arange(1, n + 1)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"not a permutation of 1..{n}: row {bad[0]} = {a[bad[0]].tolist()!r}")
+    return np.array(a.T, dtype=np.min_scalar_type(-n), order="C")
+
+
+def _counter_type(n: int):
+    """Signed counters, int16 or wider, holding n(n+1): the largest
+    intermediate of opcounts_from_stats on per-row arrays."""
+    import numpy as np
+
+    return np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
+
+
+def _swap_where(a, j: int, swap) -> None:
+    """Exchange positions j and j+1 of the rows (columns of a) where swap holds."""
+    import numpy as np
+
+    a[j], a[j + 1] = np.where(swap, a[j + 1], a[j]), np.where(swap, a[j], a[j + 1])
+
+
+def sort_rows(rows, variant: str = "plain"):
+    """Batch form of bubble_sort_instrumented: (sorted rows, OpCounts of
+    per-row arrays).  The early-exit variants keep a per-row running mask,
+    cleared after a swap-free pass; the single-set variant also flags the
+    first swap of each pass."""
+    import numpy as np
+
+    if variant not in _SORTERS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    a = _columns(rows)
+    n, r = a.shape
+    counter = _counter_type(n)
+    comparisons, swaps, bools = (np.zeros(r, counter) for _ in range(3))
+    passes = np.full(r, n, counter)
+    running = np.ones(r, bool)
+    for i in range(1, n + 1):
+        if variant != "plain":
+            bools += running  # flag reset
+        swapped = np.zeros(r, bool)
+        for j in range(n - i):
+            comparisons += running
+            swap = running & (a[j] > a[j + 1])
+            swaps += swap
+            if variant == "early_exit":
+                bools += swap
+            elif variant == "early_exit_variant":
+                bools += swap & ~swapped  # the pass's single flag set
+            swapped |= swap
+            _swap_where(a, j, swap)
+        if variant != "plain":
+            passes[running & ~swapped] = i
+            running &= swapped
+            if not running.any():
+                break
+    return np.ascontiguousarray(a.T), OpCounts(comparisons, swaps, bools, passes)
+
+
+def pass_counts(rows):
+    """Batch form of pass_count: the index of each row's first sorted state,
+    plus one, found by running bubble-sort passes on all rows."""
+    import numpy as np
+
+    a = _columns(rows)
+    n, r = a.shape
+    passes = np.zeros(r, _counter_type(n))
+    for i in range(n):  # i passes done
+        passes[(passes == 0) & (a[:-1] <= a[1:]).all(axis=0)] = i + 1
+        if passes.all():
+            break
+        for j in range(n - i - 1):
+            _swap_where(a, j, a[j] > a[j + 1])
+    return passes
+
+
+def inversion_tables(rows):
+    """Batch form of inversion_table: entry i (1-based) of a row counts the
+    elements larger than value i placed before it."""
+    import numpy as np
+
+    a = _columns(rows)
+    n, r = a.shape
+    tables = np.zeros((n, r), a.dtype)
+    every = np.arange(r)
+    for k in range(1, n):
+        tables[a[k] - 1, every] = np.count_nonzero(a[:k] > a[k], axis=0)
+    return np.ascontiguousarray(tables.T)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ FAIL, or NOTE.  NOTE marks a measured discrepancy that is reported rather
 than asserted: the flag-write count of the single-set early-exit variant
 is 2P-1 per run, one below the commonly quoted 2P.
 
-Only the suites that draw or enumerate with numpy (stein-chen, rayleigh-ks,
-montecarlo) import montecarlo and poisson_approx, when they run.
+Only the suites that draw or enumerate with numpy load it, when they run:
+stein-chen, rayleigh-ks and montecarlo import montecarlo and poisson_approx,
+and inversion-lemma and opcount-lemmas walk the permutations of n <= 8 as
+numpy batches through the batch forms of `sorters`.
 """
 
 from __future__ import annotations
@@ -121,27 +123,34 @@ def suite_enumeration() -> list[ClaimResult]:
 
 @lru_cache(maxsize=1)
 def _permutation_walk() -> tuple[int, int, int, int, int, int]:
-    """One walk over the permutations of n <= 8 for three suites: the count, then the runs
-    breaking each lemma (max entry, sorted, `sorters.opcounts_from_stats` counts)."""
+    """One walk over the permutations of n <= 8 for three suites, one batch of rows
+    per n: the count, then the runs breaking each lemma (max entry, sorted,
+    `sorters.opcounts_from_stats` counts)."""
+    import numpy as np
+
+    def count(flags) -> int:
+        return int(np.count_nonzero(flags))
+
     total = bad_maxv = bad_sorted = bad_reduction = bad_flags = bad_variant = 0
-    implied = lru_cache(maxsize=None)(lambda n, passes, inversions: [  # few distinct keys
-        sorters.opcounts_from_stats(n, passes, inversions, v) for v in sorters.VARIANTS])
     for n in range(1, 9):
-        target = tuple(range(1, n + 1))
-        for p in sorters.all_permutations(n):
-            total += 1
-            passes = sorters.pass_count(p)
-            table = sorters.inversion_table(p)
-            bad_maxv += passes != max(table) + 1
-            (s_plain, plain), (s_early, early), (s_var, variant) = [
-                sorters.bubble_sort_instrumented(p, v) for v in sorters.VARIANTS]
-            bad_sorted += not (s_plain == s_early == s_var == target)
-            want_plain, want_early, want_var = implied(n, passes, sum(table))
-            for got, want in ((early, want_early), (variant, want_var)):
-                bad_reduction += (plain.comparisons - got.comparisons
-                                  != want_plain.comparisons - want.comparisons)
-            bad_flags += early.bool_assignments != want_early.bool_assignments
-            bad_variant += variant.bool_assignments != want_var.bool_assignments
+        rows = np.fromiter(sorters.all_permutations(n), np.dtype((np.int8, n)),
+                           math.factorial(n))
+        total += len(rows)
+        passes = sorters.pass_counts(rows)
+        tables = sorters.inversion_tables(rows)
+        bad_maxv += count(passes != tables.max(axis=1) + 1)
+        runs = [sorters.sort_rows(rows, v) for v in sorters.VARIANTS]
+        outputs = np.stack([out for out, _ in runs])
+        bad_sorted += count((outputs != np.arange(1, n + 1)).any(axis=(0, 2)))
+        (_, plain), (_, early), (_, variant) = runs
+        inversions = tables.sum(axis=1, dtype=passes.dtype)
+        want_plain, want_early, want_var = [
+            sorters.opcounts_from_stats(n, passes, inversions, v) for v in sorters.VARIANTS]
+        for got, want in ((early, want_early), (variant, want_var)):
+            bad_reduction += count(plain.comparisons - got.comparisons
+                                   != want_plain.comparisons - want.comparisons)
+        bad_flags += count(early.bool_assignments != want_early.bool_assignments)
+        bad_variant += count(variant.bool_assignments != want_var.bool_assignments)
     return total, bad_maxv, bad_sorted, bad_reduction, bad_flags, bad_variant
 
 

@@ -9,9 +9,9 @@ import re
 
 import pytest
 
-from collisort import cli
+from collisort import cli, montecarlo
 from collisort.cli import EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
-from collisort.montecarlo import tv_limit
+from collisort.montecarlo import EmpiricalSummary, tv_limit
 
 
 def run_cli(capsys, *argv):
@@ -140,14 +140,24 @@ def test_simulate_opcounts_rows(capsys):
     assert by_kind["comparison_reduction"]["mean"] == 0.0
 
 
-def test_simulate_opcounts_assert_fails_on_zero_spread_miss(capsys):
-    # at n = 2 every run saves 0 comparisons, a zero-spread counter that
-    # misses the expansion's value: infinitely many standard errors off
-    code, out, _ = run_cli(
-        capsys, "simulate", "opcounts", "--n", "2", "--trials", "100", "--assert",
-    )
-    assert code == EXIT_FAILURE
+def test_simulate_opcounts_assert_fails_on_zero_spread_miss(capsys, monkeypatch):
+    # at n = 2 every run saves 0 comparisons, the exact expected value: a
+    # zero-spread counter on target is 0 standard errors off
+    argv = ("simulate", "opcounts", "--n", "2", "--trials", "100", "--assert")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
     row = {r["kind"]: r for r in json.loads(out)["rows"]}["comparison_reduction"]
+    assert row["se_mean"] == 0.0 and row["deviation_se"] == 0.0
+
+    # a zero-spread counter off target is infinitely many standard errors off
+    def off_target(n, trials, stream):
+        summary = EmpiricalSummary("comparison_reduction", n, None, trials, 0.5, 0.0, 0.0)
+        return {"comparison_reduction": summary}
+
+    monkeypatch.setattr(montecarlo, "empirical_opcounts", off_target)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_FAILURE
+    (row,) = json.loads(out)["rows"]
     assert row["se_mean"] == 0.0 and row["deviation_se"] == math.inf
 
 

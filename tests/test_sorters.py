@@ -1,6 +1,7 @@
 """Instrumented sorts, inversion tables, and exhaustive enumerations."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from collisort.exact import collision_sf_fraction, pass_cdf_fraction
 from collisort.sorters import (
+    VARIANTS,
+    OpCounts,
     ResourceBoundError,
     all_permutations,
     bubble_sort_instrumented,
@@ -18,11 +21,14 @@ from collisort.sorters import (
     enumerate_pass_distribution,
     equal_pair_count,
     inversion_table,
+    inversion_tables,
     opcounts_from_stats,
     pass_count,
+    pass_counts,
     pass_trace,
     passes_match_inversion_max,
     permutation_from_inversion_table,
+    sort_rows,
 )
 
 RANDOM_CASES_N200 = 2000  # randomized correctness coverage beyond exhaustive n<=8
@@ -127,6 +133,14 @@ def test_variant_validation():
         bubble_sort_instrumented((1, 1, 2), "plain")
 
 
+def test_permutation_entries_must_be_ints():
+    # floats and bools compare and sort like ints, so they must be refused
+    for seq in ((2.0, 1.0), (2, True), (1.0,), (True,)):
+        for fn in (bubble_sort_instrumented, pass_count, inversion_table):
+            with pytest.raises(ValueError, match="must be ints"):
+                fn(seq)
+
+
 def test_exhaustive_small_counts_match_stat_identities():
     for n in range(1, 9):
         for p in all_permutations(n):
@@ -158,6 +172,57 @@ def test_random_large_correctness():
             out, counts = bubble_sort_instrumented(p, variant)
             assert out == target
             assert counts.swaps <= counts.comparisons
+
+
+# -- batch forms against the scalar reference -------------------------------------
+
+
+def batch_rows(n):
+    """Every permutation of n <= 7, or 300 seeded permutations of larger n."""
+    if n <= 7:
+        return np.array(list(all_permutations(n)))
+    rng = np.random.default_rng(n)
+    return np.array([rng.permutation(n) + 1 for _ in range(300)])
+
+
+BATCH_SIZES = [1, 2, 3, 4, 5, 6, 7, 24]
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_sort_rows_matches_reference(n):
+    rows = batch_rows(n)
+    for variant in VARIANTS:
+        out, counts = sort_rows(rows, variant)
+        ref = [bubble_sort_instrumented(p, variant) for p in rows.tolist()]
+        assert out.tolist() == [list(p) for p, _ in ref]
+        for f in fields(OpCounts):
+            assert getattr(counts, f.name).tolist() == [getattr(c, f.name) for _, c in ref]
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_pass_counts_and_inversion_tables_match_reference(n):
+    rows = batch_rows(n)
+    perms = rows.tolist()
+    assert pass_counts(rows).tolist() == [pass_count(p) for p in perms]
+    assert inversion_tables(rows).tolist() == [list(inversion_table(p)) for p in perms]
+
+
+def test_batch_forms_reject_non_permutation_rows():
+    not_integer = (np.array([[2.0, 1.0]]), np.array([[True, False]]))
+    not_permutation = (np.array([[1, 2], [1, 1]]), np.array([[0, 1]]), np.array([[1, 3]]))
+    not_rows = (np.array([1, 2]), np.zeros((1, 0), int))
+    for fn in (sort_rows, pass_counts, inversion_tables):
+        for rows in not_integer:
+            with pytest.raises(ValueError, match="must be integers"):
+                fn(rows)
+        for rows in not_permutation:
+            with pytest.raises(ValueError, match="not a permutation"):
+                fn(rows)
+        for rows in not_rows:
+            with pytest.raises(ValueError, match="2-D array"):
+                fn(rows)
+    with pytest.raises(ValueError, match="unknown variant"):
+        sort_rows(np.array([[1, 2]]), "bogus")
 
 
 # -- enumeration oracles ---------------------------------------------------------
