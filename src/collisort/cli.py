@@ -141,9 +141,12 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
             raise ValueError("varrho target needs --x")
         value = asymptotics.scaled_pass_survival_expansion(n, args.x)
         row = {"target": t, "n": n, "x": args.x, "value": value}
-        mf = args.x * math.sqrt(n)
-        if abs(mf - round(mf)) < 1e-8 and 0 <= round(mf) <= n - 1:
-            row.update(_with_reference(value, float(asymptotics.scaled_pass_survival(n, args.x))))
+        try:  # an exact column only where x*sqrt(n) is a lattice point 0..n-1
+            reference = float(asymptotics.scaled_pass_survival(n, args.x))
+        except ValueError:
+            pass
+        else:
+            row.update(_with_reference(value, reference))
         rows.append(row)
     elif t in _LATTICE_APPROX:
         for kind, arg, approx in _LATTICE_APPROX[t]:

@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .hpreal import HPReal, hp
-from .powersums import power_sum
+from .powersums import MAX_ORDER, power_sum
 
-SERIES_MAX_DEPTH = 64
 SURVIVAL_FLOOR = 1e-40  # truncation threshold for moment sums
 
 
@@ -151,13 +150,13 @@ def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPRe
         raise ValueError(f"series form requires n > m, got n={n}, m={m}")
     if m == 0:
         return hp(1.0)
-    if depth is not None and not 1 <= depth <= SERIES_MAX_DEPTH:
-        raise ValueError(f"depth must be in 1..{SERIES_MAX_DEPTH}")
+    if depth is not None and not 1 <= depth <= MAX_ORDER:
+        raise ValueError(f"depth must be in 1..{MAX_ORDER}")
     base = Fraction(n) - m if alternating else Fraction(n)
     exponent = hp(0.0)
     magnitude = Fraction(0)
     bp = Fraction(1)
-    for k in range(1, (depth or SERIES_MAX_DEPTH) + 1):
+    for k in range(1, (depth or MAX_ORDER) + 1):
         bp *= base
         term = Fraction(power_sum(k, m)) / (k * bp)
         if depth is None and term < Fraction(1, 10 ** 16) * magnitude and m < base:
@@ -167,7 +166,7 @@ def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPRe
         exponent = exponent + HPReal.from_fraction(term if alternating and k % 2 == 0 else -term)
     if depth is None:
         raise ValueError(f"the {'pass-count' if alternating else 'collision'} log series does "
-                         f"not converge within {SERIES_MAX_DEPTH} terms at n={n}, m={m}; "
+                         f"not converge within {MAX_ORDER} terms at n={n}, m={m}; "
                          "give an explicit depth or use the product form")
     return exponent.exp()
 

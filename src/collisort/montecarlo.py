@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -186,11 +185,7 @@ def exact_law_ks_vs_rayleigh(kind: str, n: int) -> float:
 
 
 def law_tally(kind: str, n: int, trials: int, stream: SeededStream) -> np.ndarray:
-    """Tally of lattice values (deficit d for pass, j = C-1 for collision).
-
-    Tallies from different streams add associatively, which is the merge
-    rule for parallel runs.
-    """
+    """Tally of lattice values (deficit d for pass, j = C-1 for collision)."""
     if kind not in LAW_KINDS:
         raise ValueError(f"kind must be one of {LAW_KINDS}")
     if kind == "pass":
@@ -198,16 +193,6 @@ def law_tally(kind: str, n: int, trials: int, stream: SeededStream) -> np.ndarra
         return np.bincount(values, minlength=n)
     values = sample_collision_counts(n, trials, stream) - 1
     return np.bincount(values, minlength=n + 1)
-
-
-def merge_tallies(tallies: Iterable[np.ndarray]) -> np.ndarray:
-    """Associative merge of per-stream tallies."""
-    out: np.ndarray | None = None
-    for t in tallies:
-        out = t.copy() if out is None else out + t
-    if out is None:
-        raise ValueError("no tallies to merge")
-    return out
 
 
 def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummary:

@@ -50,6 +50,7 @@ def _pair(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 _NOISE = 30.0 * 2.220446049250313e-16  # rounding floor of the pair difference
+_MAX_DEPTH = 30  # bisections before an interval is accepted as it stands
 
 
 def adaptive_quad(
@@ -57,7 +58,6 @@ def adaptive_quad(
     a: float,
     b: float,
     abs_tol: float = 1e-14,
-    max_depth: int = 30,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance ``abs_tol``.
 
@@ -75,7 +75,7 @@ def adaptive_quad(
     while stack:
         lo, hi, tol, depth = stack.pop()
         est, err = _pair(f, lo, hi)
-        if err <= tol or err <= _NOISE * abs(est) or depth >= max_depth:
+        if err <= tol or err <= _NOISE * abs(est) or depth >= _MAX_DEPTH:
             total += est
         else:
             mid = 0.5 * (lo + hi)

@@ -13,11 +13,12 @@ boolean assignment and so does each flag set; comparisons count one per
 adjacent pair inspected; swaps count element exchanges.
 
 The scalar functions (``bubble_sort_instrumented``, ``pass_count``,
-``inversion_table``) are the reference.  Their batch forms ``sort_rows``,
-``pass_counts`` and ``inversion_tables`` take a 2-D integer array with one
-permutation per row and step every row in lockstep, one column pair at a
-time in the scalar pass and pair order.  They import numpy when called and
-return arrays of the smallest signed integer types that hold their values.
+``inversion_table``) are the reference.  Their batch forms ``sort_rows``
+and ``inversion_tables`` take a 2-D integer array with one permutation per
+row and step every row in lockstep, one column pair at a time in the scalar
+pass and pair order; the early-exit ``sort_rows`` gives the batch pass
+counts in its ``passes``.  They import numpy when called and return arrays
+of the smallest signed integer types that hold their values.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def check_inversion_table(table: Sequence[int]) -> tuple[int, ...]:
     n = len(t)
     if n == 0:
         raise ValueError("inversion table must be nonempty")
+    if any(v.__class__ is bool or not isinstance(v, int) for v in t):
+        raise ValueError(f"inversion table entries must be ints: {t!r}")
     for i, v in enumerate(t, start=1):
         if not 0 <= v <= n - i:
             raise ValueError(f"entry {i} = {v} outside 0..{n - i}")
@@ -269,21 +272,6 @@ def _columns(rows):
     return np.array(a.T, dtype=np.min_scalar_type(-n), order="C")
 
 
-def _counter_type(n: int):
-    """Signed counters, int16 or wider, holding n(n+1): the largest
-    intermediate of opcounts_from_stats on per-row arrays."""
-    import numpy as np
-
-    return np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
-
-
-def _swap_where(a, j: int, swap) -> None:
-    """Exchange positions j and j+1 of the rows (columns of a) where swap holds."""
-    import numpy as np
-
-    a[j], a[j + 1] = np.where(swap, a[j + 1], a[j]), np.where(swap, a[j], a[j + 1])
-
-
 def sort_rows(rows, variant: str = "plain"):
     """Batch form of bubble_sort_instrumented: (sorted rows, OpCounts of
     per-row arrays).  The early-exit variants keep a per-row running mask,
@@ -295,7 +283,9 @@ def sort_rows(rows, variant: str = "plain"):
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     a = _columns(rows)
     n, r = a.shape
-    counter = _counter_type(n)
+    # signed counters, int16 or wider, holding n(n+1): the largest
+    # intermediate of opcounts_from_stats on per-row arrays
+    counter = np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
     comparisons, swaps, bools = (np.zeros(r, counter) for _ in range(3))
     passes = np.full(r, n, counter)
     running = np.ones(r, bool)
@@ -312,30 +302,13 @@ def sort_rows(rows, variant: str = "plain"):
             elif variant == "early_exit_variant":
                 bools += swap & ~swapped  # the pass's single flag set
             swapped |= swap
-            _swap_where(a, j, swap)
+            a[j], a[j + 1] = np.where(swap, a[j + 1], a[j]), np.where(swap, a[j], a[j + 1])
         if variant != "plain":
             passes[running & ~swapped] = i
             running &= swapped
             if not running.any():
                 break
     return np.ascontiguousarray(a.T), OpCounts(comparisons, swaps, bools, passes)
-
-
-def pass_counts(rows):
-    """Batch form of pass_count: the index of each row's first sorted state,
-    plus one, found by running bubble-sort passes on all rows."""
-    import numpy as np
-
-    a = _columns(rows)
-    n, r = a.shape
-    passes = np.zeros(r, _counter_type(n))
-    for i in range(n):  # i passes done
-        passes[(passes == 0) & (a[:-1] <= a[1:]).all(axis=0)] = i + 1
-        if passes.all():
-            break
-        for j in range(n - i - 1):
-            _swap_where(a, j, a[j] > a[j + 1])
-    return passes
 
 
 def inversion_tables(rows):

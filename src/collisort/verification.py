@@ -136,13 +136,13 @@ def _permutation_walk() -> tuple[int, int, int, int, int, int]:
         rows = np.fromiter(sorters.all_permutations(n), np.dtype((np.int8, n)),
                            math.factorial(n))
         total += len(rows)
-        passes = sorters.pass_counts(rows)
-        tables = sorters.inversion_tables(rows)
-        bad_maxv += count(passes != tables.max(axis=1) + 1)
         runs = [sorters.sort_rows(rows, v) for v in sorters.VARIANTS]
         outputs = np.stack([out for out, _ in runs])
         bad_sorted += count((outputs != np.arange(1, n + 1)).any(axis=(0, 2)))
         (_, plain), (_, early), (_, variant) = runs
+        passes = early.passes  # a swap-free pass leaves the row sorted
+        tables = sorters.inversion_tables(rows)
+        bad_maxv += count(passes != tables.max(axis=1) + 1)
         inversions = tables.sum(axis=1, dtype=passes.dtype)
         want_plain, want_early, want_var = [
             sorters.opcounts_from_stats(n, passes, inversions, v) for v in sorters.VARIANTS]
@@ -192,7 +192,7 @@ def suite_lemma_8_4() -> list[ClaimResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
+def suite_stein_chen() -> list[ClaimResult]:
     from . import montecarlo, poisson_approx
 
     # at m = 1 the family is a single indicator and the bound is exactly
@@ -220,6 +220,7 @@ def suite_stein_chen(mc_trials: int = 10**6) -> list[ClaimResult]:
                       f"worst tv/bound ratio {worst[0]:.4f} at {worst[1:]}", "<= 1",
                       "exact TV below the bound on every enumerable instance"))
 
+    mc_trials = 10**6
     summary = montecarlo.empirical_pair_matches(
         "birthday", 365, 22, mc_trials, montecarlo.SeededStream(montecarlo.DEFAULT_SEED, 0)
     )
@@ -303,9 +304,10 @@ def suite_optimal_shift() -> list[ClaimResult]:
     return out
 
 
-def suite_montecarlo(law_trials: int = 10**5, opcount_trials: int = 10**4) -> list[ClaimResult]:
+def suite_montecarlo() -> list[ClaimResult]:
     from . import montecarlo
 
+    law_trials, opcount_trials = 10**5, 10**4
     out = []
     n = 10**4
     seed = montecarlo.DEFAULT_SEED

@@ -11,6 +11,7 @@ import pytest
 
 from collisort import cli, montecarlo
 from collisort.cli import EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from collisort.exact import pass_cdf
 from collisort.montecarlo import EmpiricalSummary, tv_limit
 
 
@@ -61,6 +62,14 @@ def test_approx_varrho_trivial(capsys):
     code, out, _ = run_cli(capsys, "approx", "varrho", "--n", "10000", "--x", "0")
     assert code == EXIT_OK
     assert json.loads(out)["rows"][0]["value"] == 1.0
+
+
+def test_approx_varrho_shares_the_cdf_lattice_rule(capsys):
+    # x*sqrt(n) = 10^4 + 2e-6 is within the relative lattice tolerance
+    # approx cdf uses, so varrho reports the exact value there too
+    code, out, _ = run_cli(capsys, "approx", "varrho", "--n", "100000000", "--x", "1.0000000002")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["exact"] == float(pass_cdf(10**8, 10**4))
 
 
 def test_approx_em_check(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collisort.exact import (
@@ -87,6 +87,20 @@ def test_hp_matches_fraction_within_err_up_to_60():
             assert abs(hp_c.to_fraction() - collision_sf_fraction(n, m)) <= hp_c.err
             hp_p = pass_cdf(n, m)
             assert abs(hp_p.to_fraction() - pass_cdf_fraction(n, m)) <= hp_p.err
+
+
+# past m*log10(n) = 280 both products leave the one-ratio path for a factor
+# loop; the m cap keeps each Fraction oracle near 15 ms
+@settings(deadline=None)
+@example(n=365, m=22)
+@example(n=10**5, m=600)
+@given(n=st.integers(min_value=2, max_value=10**5), m=st.integers(min_value=0, max_value=600))
+def test_hp_matches_fraction_within_err_beyond_60(n, m):
+    m = min(m, n - 1)
+    hp_c = collision_sf(n, m)
+    assert abs(hp_c.to_fraction() - collision_sf_fraction(n, m)) <= hp_c.err
+    hp_p = pass_cdf(n, m)
+    assert abs(hp_p.to_fraction() - pass_cdf_fraction(n, m)) <= hp_p.err
 
 
 def test_pass_cdf_factorial_form_up_to_60():

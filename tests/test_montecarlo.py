@@ -1,4 +1,4 @@
-"""Seeded samplers: determinism, merging, and agreement with exact laws."""
+"""Seeded samplers: determinism, tallies, and agreement with exact laws."""
 
 import math
 
@@ -16,12 +16,10 @@ from collisort.montecarlo import (
     exact_law_ks_vs_rayleigh,
     ks_critical_1pct,
     law_tally,
-    merge_tallies,
     sample_collision_counts,
     sample_first_collision,
     sample_inversion_table,
     sample_pass_counts,
-    summarize_law_tally,
     tv_limit,
 )
 from collisort.poisson_approx import birthday_family, stein_chen_bound
@@ -81,22 +79,15 @@ def test_sampled_tables_are_valid():
         check_inversion_table(table)
 
 
-# -- parallel merge ---------------------------------------------------------------
+# -- lattice tallies --------------------------------------------------------------
 
 
-def test_parallel_merge_equals_sequential():
-    n, per_stream = 200, 3000
-    tallies = [law_tally("pass", n, per_stream, SeededStream(11, sid)) for sid in range(4)]
-    merged = merge_tallies(tallies)
-    # sequential run over the same streams in order: concatenate samples
-    values = np.concatenate(
-        [n - sample_pass_counts(n, per_stream, SeededStream(11, sid)) for sid in range(4)]
-    )
-    sequential = np.bincount(values, minlength=n)
-    assert np.array_equal(merged, sequential)
-    assert summarize_law_tally("pass", n, merged) == summarize_law_tally(
-        "pass", n, sequential
-    )
+def test_law_tally_is_the_bincount_of_the_same_stream():
+    n, trials = 200, 3000
+    for sid in range(4):
+        tally = law_tally("pass", n, trials, SeededStream(11, sid))
+        values = n - sample_pass_counts(n, trials, SeededStream(11, sid))
+        assert np.array_equal(tally, np.bincount(values, minlength=n))
 
 
 # -- agreement with exact laws -------------------------------------------------------

@@ -24,7 +24,6 @@ from collisort.sorters import (
     inversion_tables,
     opcounts_from_stats,
     pass_count,
-    pass_counts,
     pass_trace,
     passes_match_inversion_max,
     permutation_from_inversion_table,
@@ -75,6 +74,10 @@ def test_inversion_table_validation():
         permutation_from_inversion_table((3, 0, 0))  # entry 1 exceeds n-1
     with pytest.raises(ValueError):
         inversion_table((1, 1, 2))
+    # a bool passes the range test as 0 or 1 and a float fails only on insert
+    for table in ((True, 0, 0), (1.0, 0, 0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            permutation_from_inversion_table(table)
 
 
 @settings(max_examples=200)
@@ -203,7 +206,7 @@ def test_sort_rows_matches_reference(n):
 def test_pass_counts_and_inversion_tables_match_reference(n):
     rows = batch_rows(n)
     perms = rows.tolist()
-    assert pass_counts(rows).tolist() == [pass_count(p) for p in perms]
+    assert sort_rows(rows, "early_exit")[1].passes.tolist() == [pass_count(p) for p in perms]
     assert inversion_tables(rows).tolist() == [list(inversion_table(p)) for p in perms]
 
 
@@ -211,7 +214,7 @@ def test_batch_forms_reject_non_permutation_rows():
     not_integer = (np.array([[2.0, 1.0]]), np.array([[True, False]]))
     not_permutation = (np.array([[1, 2], [1, 1]]), np.array([[0, 1]]), np.array([[1, 3]]))
     not_rows = (np.array([1, 2]), np.zeros((1, 0), int))
-    for fn in (sort_rows, pass_counts, inversion_tables):
+    for fn in (sort_rows, inversion_tables):
         for rows in not_integer:
             with pytest.raises(ValueError, match="must be integers"):
                 fn(rows)
