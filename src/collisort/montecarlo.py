@@ -21,6 +21,8 @@ from .sorters import ResourceBoundError, opcounts_from_stats
 DEFAULT_SEED = 0x5EED_B0B5
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12
 _CHUNK_BYTES = 8_000_000  # per-chunk occupancy bitmap or draw matrix
+_PACK_LIMIT = 1 << 53  # largest product of supports packed into one draw
+_MAX_DRAWS = 2_000_000_000  # random values, bitmap bits or tally cells per call
 
 LAW_KINDS = ("pass", "collision")
 MATCH_KINDS = ("birthday", "inversion")
@@ -85,28 +87,66 @@ def sample_inversion_table(n: int, stream: SeededStream) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _check_bound(what: str, n: int, trials: int, count: int) -> None:
+    """Refuse a call that would use more than _MAX_DRAWS values, before it allocates."""
+    if count > _MAX_DRAWS:
+        raise ResourceBoundError(
+            f"{what} at n={n} with trials={trials} needs about {count} values, "
+            f"over the bound of {_MAX_DRAWS}")
+
+
+def _support_groups(n: int):
+    """Cut the inversion-table supports n, n-1, ..., 1 into consecutive runs
+    whose product stays at or below _PACK_LIMIT; yield (sizes, product)."""
+    sizes, prod = [], 1
+    for s in range(n, 0, -1):
+        if sizes and prod * s > _PACK_LIMIT:
+            yield sizes, prod
+            sizes, prod = [], 1
+        sizes.append(s)
+        prod *= s
+    yield sizes, prod
+
+
+def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
+    """One uniform value on {0..prod-1} per row, yielded as its mixed-radix
+    digits from the last size to the first: independent and uniform on
+    {0..s-1}, since the value and its digits are in bijection."""
+    v = rng.integers(0, prod, size=rows)
+    for s in sizes[:0:-1]:
+        q = v // s
+        yield v - q * s
+        v = q
+    yield v
+
+
 def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     """Pass counts of uniform random permutations, via inversion tables.
 
-    The pass count is max(table entry) + 1.  Columns are drawn in index
-    order, and column i (support {0..n-i}) only for the rows whose running
-    maximum can still grow (max < n - i); a row is frozen as soon as it
-    cannot, since every later support is smaller still.
+    The pass count is max(table entry) + 1.  The entries are drawn in index
+    order, several per random value (`_support_groups`), and a group only
+    for the rows whose running maximum can still grow (max < its largest
+    support - 1); a row is frozen as soon as it cannot, since every later
+    support is smaller still.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
+    # either law draws about sqrt(pi n / 2) values a trial, below sqrt(2n) + 1
+    _check_bound("pass sampling", n, trials, trials * (math.isqrt(2 * n) + 1))
     rng = stream.generator()
     maxes = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
     current = np.zeros(trials, dtype=np.int64)  # running maxima of the active rows
-    for i in range(1, n + 1):
-        grows = current < n - i
+    for sizes, prod in _support_groups(n):
+        grows = current < sizes[0] - 1
         if not grows.all():
             maxes[active[~grows]] = current[~grows]
             active, current = active[grows], current[grows]
             if not active.size:
                 break
-        np.maximum(current, rng.integers(0, n - i + 1, size=active.size), out=current)
+        for digit in _draw_digits(rng, sizes, prod, active.size):
+            np.maximum(current, digit, out=current)
+    maxes[active] = current
     return maxes + 1
 
 
@@ -121,6 +161,7 @@ def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.nda
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
+    _check_bound("collision sampling", n, trials, max(n, trials * (math.isqrt(2 * n) + 1)))
     rng = stream.generator()
     row_bytes = (n + 7) // 8
     # bitmap within _CHUNK_BYTES; at most _CHUNK_BYTES // 64 rows, which
@@ -188,6 +229,7 @@ def law_tally(kind: str, n: int, trials: int, stream: SeededStream) -> np.ndarra
     """Tally of lattice values (deficit d for pass, j = C-1 for collision)."""
     if kind not in LAW_KINDS:
         raise ValueError(f"kind must be one of {LAW_KINDS}")
+    _check_bound(f"{kind} law tally", n, trials, n + 1)
     if kind == "pass":
         values = n - sample_pass_counts(n, trials, stream)
         return np.bincount(values, minlength=n)
@@ -250,10 +292,7 @@ def empirical_pair_matches(
         raise ValueError(f"kind must be one of {MATCH_KINDS}")
     if trials < 1000:
         raise ValueError("need trials >= 1000")
-    if (m + 1) * trials > 2_000_000_000:
-        raise ResourceBoundError(
-            f"pair-match simulation of {(m + 1) * trials} draws exceeds the resource bound"
-        )
+    _check_bound("pair-match simulation", n, trials, (m + 1) * trials)
     family = match_family(kind, n, m)
     mu = stein_chen_bound(family).mu
     cols = m + 1
@@ -320,18 +359,25 @@ def empirical_opcounts(
     Each run's counts follow from its (passes, inversions), the maximum + 1
     and the sum of its inversion table, through the per-permutation
     identities of `sorters.opcounts_from_stats`, which the exhaustive small-n
-    suite verifies exactly.  Every row draws every column, unlike the
-    frozen-row pass sampler, since the inversion sum needs all of them.
+    suite verifies exactly.  The table is drawn several entries per random
+    value, as in `sample_pass_counts`, and every row draws every entry,
+    since the inversion sum needs all of them; the maximum stops being
+    taken once every row has reached a group's largest value, which no
+    later entry can pass.
     """
     if n < 2 or trials < 1:
         raise ValueError("need n >= 2 and trials >= 1")
+    _check_bound("opcount sampling", n, trials, n * trials)
     rng = stream.generator()
     maxes = np.zeros(trials, dtype=np.int64)
     sums = np.zeros(trials, dtype=np.int64)
-    for i in range(1, n + 1):
-        draws = rng.integers(0, n - i + 1, size=trials)
-        np.maximum(maxes, draws, out=maxes)
-        sums += draws
+    growing = True
+    for sizes, prod in _support_groups(n):
+        growing = growing and int(maxes.min()) < sizes[0] - 1
+        for digit in _draw_digits(rng, sizes, prod, trials):
+            sums += digit
+            if growing:
+                np.maximum(maxes, digit, out=maxes)
     passes = maxes + 1
     plain = opcounts_from_stats(n, passes, sums, "plain")
     early = opcounts_from_stats(n, passes, sums, "early_exit")

@@ -261,6 +261,21 @@ def test_resource_exit_code(capsys):
     assert json.loads(err)["kind"] == "resource"
 
 
+@pytest.mark.parametrize("argv", [
+    ("law", "--kind", "pass", "--n", "100000000000", "--trials", "1000"),
+    ("law", "--kind", "collision", "--n", "100000000000", "--trials", "1000"),
+    ("opcounts", "--n", "100000000000", "--trials", "10"),
+])
+def test_huge_simulation_is_a_resource_error(capsys, argv):
+    # refused before any allocation, with a message that names n and trials
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert code == EXIT_RESOURCE
+    assert "Traceback" not in out + err
+    payload = json.loads(err)
+    assert payload["kind"] == "resource"
+    assert "n=100000000000" in payload["error"] and "trials=" in payload["error"]
+
+
 def test_verify_paper_values(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "paper-values")
     assert code == EXIT_OK

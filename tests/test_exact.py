@@ -380,6 +380,30 @@ def test_scaled_pass_moment_err_bounds_oracle():
             assert float(got) == pytest.approx(float(reference), rel=1e-12)
 
 
+def _moment_fraction(kind, n, k):
+    """E X^k for X = (n - P)/sqrt(n) or (C - 1)/sqrt(n), exactly; k even."""
+    if kind == "pass":  # deficit d in 0..n-1, P{d >= m} = pass_cdf_fraction(n, m)
+        sf = [pass_cdf_fraction(n, m) for m in range(n)] + [Fraction(0)]
+        values = range(n)
+    else:  # j = C - 1 in 1..n, P{j >= v} = collision_sf_fraction(n, v - 1)
+        sf = [Fraction(1)] + [collision_sf_fraction(n, m) for m in range(n + 1)]
+        values = range(1, n + 1)
+    return sum(Fraction(v) ** k * (sf[v] - sf[v + 1]) for v in values) / Fraction(n) ** (k // 2)
+
+
+# at even k the moments are rational, so the Fraction oracle is exact
+@settings(deadline=None)
+@example(kind="pass", n=1, k=2)
+@example(kind="collision", n=1, k=4)
+@example(kind="pass", n=150, k=4)
+@example(kind="collision", n=150, k=4)
+@given(kind=st.sampled_from(("pass", "collision")), n=st.integers(min_value=1, max_value=150),
+       k=st.sampled_from((2, 4)))
+def test_even_moments_match_fraction_within_err(kind, n, k):
+    moment = (scaled_pass_moment if kind == "pass" else scaled_collision_moment)(n, k)
+    assert abs(moment.to_fraction() - _moment_fraction(kind, n, k)) <= moment.err
+
+
 def test_scaled_collision_moment_degenerate():
     assert float(scaled_collision_moment(1, 1)) == pytest.approx(1.0, rel=1e-15)
 

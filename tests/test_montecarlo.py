@@ -1,15 +1,18 @@
 """Seeded samplers: determinism, tallies, and agreement with exact laws."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from collisort import exact
+from collisort import exact, montecarlo
 from collisort.montecarlo import (
     DEFAULT_SEED,
     SeededStream,
+    _draw_digits,
     _pair_match_counts,
+    _support_groups,
     empirical_law,
     empirical_opcounts,
     empirical_pair_matches,
@@ -20,10 +23,16 @@ from collisort.montecarlo import (
     sample_first_collision,
     sample_inversion_table,
     sample_pass_counts,
+    summarize_law_tally,
     tv_limit,
 )
 from collisort.poisson_approx import birthday_family, stein_chen_bound
-from collisort.sorters import ResourceBoundError, check_inversion_table
+from collisort.sorters import (
+    ResourceBoundError,
+    check_inversion_table,
+    opcounts_from_stats,
+    pass_count,
+)
 from oracles import pair_match_counts_by_columns
 
 
@@ -90,6 +99,93 @@ def test_law_tally_is_the_bincount_of_the_same_stream():
         assert np.array_equal(tally, np.bincount(values, minlength=n))
 
 
+# -- packed inversion-table draws -------------------------------------------------
+
+
+class _CountingUp:
+    """Stands in for a Generator whose draw of 0..high-1 is every value once."""
+
+    def integers(self, low, high, size):
+        assert (low, size) == (0, high)
+        return np.arange(high, dtype=np.int64)
+
+
+def test_digit_split_is_a_bijection():
+    for sizes in ([1], [2, 1], [3, 2], [4, 4, 4], [7, 1, 6], [5, 4, 3, 2, 1]):
+        prod = math.prod(sizes)
+        digits = list(_draw_digits(_CountingUp(), sizes, prod, prod))
+        assert len(digits) == len(sizes)
+        # prod distinct tuples in the product set of prod tuples: one-to-one and onto
+        tuples = set(zip(*(d.tolist() for d in reversed(digits))))
+        assert tuples == set(itertools.product(*(range(s) for s in sizes)))
+
+
+def test_support_groups_cover_the_table_in_order():
+    for n in (1, 2, 7, 30, 10**4):
+        groups = list(_support_groups(n))
+        assert [s for sizes, _ in groups for s in sizes] == list(range(n, 0, -1))
+        for (sizes, prod), after in itertools.zip_longest(groups, groups[1:]):
+            assert prod == math.prod(sizes) <= 2**53
+            if after:  # each group is as long as the limit allows
+                assert prod * after[0][0] > 2**53
+    assert len(list(_support_groups(10**4))) == 2421
+
+
+def _table_stats(monkeypatch, n, trials, stream):
+    """The (passes, inversions) arrays empirical_opcounts hands its identities."""
+    seen = []
+
+    def record(n, passes, inversions, variant):
+        seen.append((passes, inversions))
+        return opcounts_from_stats(n, passes, inversions, variant)
+
+    monkeypatch.setattr(montecarlo, "opcounts_from_stats", record)
+    empirical_opcounts(n, trials, stream)
+    return seen[0]
+
+
+def _assert_cells_within_5_sigma(counts, law, trials):
+    # multinomial 5-sigma envelope per cell; a cell of probability 0 stays empty
+    for cell, count in enumerate(counts.tolist()):
+        prob = float(law.get(cell, 0))
+        sigma = math.sqrt(prob * (1.0 - prob) * trials)
+        assert abs(count - prob * trials) <= 5.0 * sigma, cell
+
+
+def test_opcount_tables_match_enumeration_at_small_n(monkeypatch):
+    # the joint law of (passes, inversions); sample_pass_counts at n <= 7 is
+    # checked in test_pass_law_frequencies_vs_enumeration
+    trials = 10**6
+    for n in range(2, 8):
+        cells = n * (n - 1) // 2 + 1  # inversion counts 0..n(n-1)/2
+        joint = {}
+        for perm in itertools.permutations(range(1, n + 1)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            cell = pass_count(perm) * cells + inversions
+            joint[cell] = joint.get(cell, 0) + 1 / math.factorial(n)
+        passes, inversions = _table_stats(monkeypatch, n, trials, SeededStream(1105, n))
+        codes = passes * cells + inversions
+        _assert_cells_within_5_sigma(np.bincount(codes, minlength=(n + 1) * cells), joint, trials)
+
+
+def test_packed_tables_match_exact_laws_across_groups(monkeypatch):
+    # at n = 30 every pass-count cell has room for the 5-sigma envelope
+    cdf = [0] + [exact.pass_cdf_fraction(30, 30 - p) for p in range(1, 31)]
+    law_30 = {p: float(cdf[p] - cdf[p - 1]) for p in range(1, 31)}
+    # DKW: a sample of the exact law fails the KS limit with probability below 1e-6
+    for n, trials in ((30, 10**6), (10**4, 10**4)):
+        assert len(list(_support_groups(n))) > 1
+        passes, inversions = _table_stats(monkeypatch, n, trials, SeededStream(1107, n))
+        mean, var = n * (n - 1) / 4, n * (n - 1) * (2 * n + 5) / 72
+        assert abs(inversions.mean() - mean) <= 5.0 * math.sqrt(var / trials)
+        assert abs(inversions.var(ddof=1) / var - 1.0) <= 5.0 * math.sqrt(2.0 / trials)
+        for sample in (passes, sample_pass_counts(n, trials, SeededStream(1108, n))):
+            summary = summarize_law_tally("pass", n, np.bincount(n - sample, minlength=n))
+            assert summary.ks_exact < math.sqrt(math.log(2e6) / (2 * trials))
+            if n == 30:
+                _assert_cells_within_5_sigma(np.bincount(sample, minlength=n + 1), law_30, trials)
+
+
 # -- agreement with exact laws -------------------------------------------------------
 
 
@@ -116,7 +212,7 @@ def test_pass_law_frequencies_vs_enumeration():
     from collisort.sorters import enumerate_pass_distribution
 
     trials = 10**6
-    for n in (1, 2, 3, 5, 7):
+    for n in (1, 2, 3, 4, 5, 6, 7):
         law = enumerate_pass_distribution(n)
         samples = sample_pass_counts(n, trials, SeededStream(77, n))
         counts = np.bincount(samples, minlength=n + 1)
@@ -241,6 +337,16 @@ def test_pair_matches_tv_shrinks_with_n():
 def test_pair_matches_resource_guard():
     with pytest.raises(ResourceBoundError):
         empirical_pair_matches("birthday", 10**6, 10**5, 10**6, SeededStream())
+
+
+def test_samplers_refuse_before_allocating():
+    for call in (lambda: sample_pass_counts(10**11, 10**5, SeededStream()),
+                 lambda: sample_collision_counts(10**11, 1, SeededStream()),
+                 lambda: law_tally("pass", 10**11, 1, SeededStream()),
+                 lambda: law_tally("collision", 10**11, 1, SeededStream()),
+                 lambda: empirical_opcounts(10**11, 10, SeededStream())):
+        with pytest.raises(ResourceBoundError, match=r"n=100000000000 with trials=\d+"):
+            call()
 
 
 # -- opcount expectations ----------------------------------------------------------
