@@ -10,8 +10,8 @@ Exit codes: 0 ok, 1 assertion or claim failure, 2 usage error,
 3 resource-bound error, 4 internal error (an unexpected exception; it is
 reported as {"error": ..., "kind": "internal"} and never as a failed claim).
 
-Only `simulate` and the Monte Carlo and enumeration suites of `verify`
-import numpy; `exact` and `approx` run on the pure-Python layers.
+Only `simulate` and the `verify` suites that the `verification` docstring
+names import numpy; `exact`, `approx` and the other suites run without it.
 """
 
 from __future__ import annotations

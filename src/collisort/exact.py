@@ -2,15 +2,16 @@
 
 Two numeric backends back every quantity: `fractions.Fraction` for exact
 rational oracles (practical up to n of a few hundred) and double-double
-HPReal for production evaluation at any n.  Probabilities are built from
-the finite product forms
+HPReal for production evaluation at any n.  Both laws are the probability
+that m+1 uniform draws on nested supports s_0 <= ... <= s_m hold no match,
+prod_{k=1..m} (s_k - k)/s_k, over the supports of poisson_approx's
+birthday_family (s_k = n) and inversion_family (s_k = n-m+k):
 
     collision survival  P{C_n > m+1} = prod_{k=1..m} (1 - k/n)
     pass-count CDF      P{P_n <= n-m} = prod_{k=1..m} (1 - k/(n-m+k))
 
-The collision product also runs factor by factor at a real year length n,
-as the shifted estimator needs; log-series forms give both laws at any
-truncation depth.
+The collision product also runs at a real year length n, as the shifted
+estimator needs; log-series forms give both laws at any truncation depth.
 """
 
 from __future__ import annotations
@@ -60,26 +61,35 @@ class EstimateReport:
 _INT_RATIO_DIGITS = 280
 
 
+def _no_match(supports) -> HPReal:
+    """prod_{k=1..m} (s_k - k)/s_k over nondecreasing supports (s_1, ..., s_m).
+
+    One exact integer ratio (one rounding step) at integer supports whose
+    product fits float range; otherwise, and at a real year length, factor
+    by factor.  Empty product 1 at m = 0."""
+    m = len(supports)
+    if m and isinstance(supports[-1], int) and m * math.log10(supports[-1]) < _INT_RATIO_DIGITS:
+        return (HPReal.from_int(math.prod(s - k for k, s in enumerate(supports, 1)))
+                / HPReal.from_int(math.prod(supports)))
+    prod = hp(1.0)
+    for k, s in enumerate(supports, 1):
+        prod = prod * (hp(s - k) / s)
+    return prod
+
+
 def collision_sf(n: int, m: int) -> HPReal:
     """P{C_n > m+1}: the first m+1 draws from n days are all distinct.
 
     The product prod_{k=1..m} (1 - k/n) is grouped as the exact integer
     ratio (n-1)...(n-m) / n^m when that fits float range (one rounding
-    step); otherwise it is the falling product of collision_survival_sequence.
+    step); otherwise the factors (n-k)/n are accumulated one by one.
     Empty product 1 at m=0; exactly 0 once m >= n (pigeonhole).
     """
     if n < 1 or m < 0:
         raise ValueError("collision_sf needs n >= 1 and m >= 0")
     if m >= n:
         return hp(0.0)
-    if m == 0:
-        return hp(1.0)
-    if m * math.log10(n) < _INT_RATIO_DIGITS:
-        num = 1
-        for k in range(1, m + 1):
-            num *= n - k
-        return HPReal.from_int(num) / HPReal.from_int(n ** m)
-    return _falling_product(n, m)
+    return _no_match((n,) * m)
 
 
 def pass_cdf(n: int, m: int) -> HPReal:
@@ -93,18 +103,7 @@ def pass_cdf(n: int, m: int) -> HPReal:
         raise ValueError("pass_cdf needs n >= 1 and m >= 0")
     if m >= n:
         raise ValueError(f"pass_cdf requires m < n (P_n >= 1 always); got m={m}, n={n}")
-    if m == 0:
-        return hp(1.0)
-    if m * math.log10(n) < _INT_RATIO_DIGITS:
-        den = 1
-        for k in range(1, m + 1):
-            den *= n - m + k
-        return HPReal.from_int((n - m) ** m) / HPReal.from_int(den)
-    prod = hp(1.0)
-    base = hp(n - m)
-    for k in range(1, m + 1):
-        prod = prod * (base / (n - m + k))
-    return prod
+    return _no_match(range(n - m + 1, n + 1))
 
 
 def collision_sf_fraction(n: int, m: int) -> Fraction:
@@ -201,6 +200,15 @@ def sandwich_bounds(n: int, m: int) -> tuple[HPReal, HPReal]:
     return collision_sf(n - (m - 1), m), collision_sf(n, m)
 
 
+def _estimate(year: float, n: int, m: int, formula: float) -> EstimateReport:
+    """Report on the collision survival at year length ``year`` over pass_cdf(n, m)."""
+    denom = pass_cdf(n, m)
+    if float(denom) == 0.0:
+        raise ZeroDivisionError("pass_cdf vanished; ratio undefined")
+    ratio = _no_match((year,) * m) / denom
+    return EstimateReport(ratio, formula, float(ratio) - 1.0)
+
+
 def relative_error_common(n: int, m: int) -> EstimateReport:
     """Error of estimating the pass CDF by the same-n collision survival.
 
@@ -208,12 +216,7 @@ def relative_error_common(n: int, m: int) -> EstimateReport:
     """
     if not 1 <= m < n:
         raise ValueError(f"needs 1 <= m < n, got m={m}, n={n}")
-    denom = pass_cdf(n, m)
-    if float(denom) == 0.0:
-        raise ZeroDivisionError("pass_cdf vanished; ratio undefined")
-    ratio = collision_sf(n, m) / denom
-    formula = (m - 1) * m * (m + 1) / (6.0 * (n - m / 2.0) ** 2)
-    return EstimateReport(ratio, formula, float(ratio) - 1.0)
+    return _estimate(n, n, m, (m - 1) * m * (m + 1) / (6.0 * (n - m / 2.0) ** 2))
 
 
 def relative_error_shifted(n: int, m: int) -> EstimateReport:
@@ -227,15 +230,11 @@ def relative_error_shifted(n: int, m: int) -> EstimateReport:
     shifted = n - (m - 1) / 3.0
     if not shifted > m:
         raise ValueError(f"shifted year length {shifted} must exceed m={m}")
-    denom = pass_cdf(n, m)
-    if float(denom) == 0.0:
-        raise ZeroDivisionError("pass_cdf vanished; ratio undefined")
-    ratio = _falling_product(shifted, m) / denom
     formula = (
         -(m - 1) * m * (m + 1) * (m + 2) * (2 * m + 1)
         / (270.0 * (n - (4 * m - 1) / 6.0) ** 4)
     )
-    return EstimateReport(ratio, formula, float(ratio) - 1.0)
+    return _estimate(shifted, n, m, formula)
 
 
 def optimal_shift(n: int, m: int) -> tuple[int, float]:
@@ -314,11 +313,6 @@ def lattice_sf(kind: str, n: int, v: int) -> HPReal:
     return pass_cdf(n, m) if kind == "pass" else collision_sf(n, m)
 
 
-def _falling_product(n: float, m: int) -> HPReal:
-    """prod_{k=1..m} (1 - k/n) for 0 <= m < n, factor by factor."""
-    return next(sf for j, sf in collision_survival_sequence(n, floor=0.0) if j == m)
-
-
 def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
     """k-th moment of X on the lattice x_j = j/sqrt(n) by Abel summation, from
     ``survival(n)``, which yields (m, S_m = P{X >= x_(m+first)}) with S_0 = 1:
@@ -368,22 +362,16 @@ def scaled_pass_charfn_exact(n: int, t: float) -> complex:
     """E exp(i t X) for X = (n - passes)/sqrt(n), from the exact lattice pmf.
 
     The pmf at lattice point m/sqrt(n) is the survival difference
-    rho(m) - rho(m+1); the tail below the survival floor contributes
-    less than the floor itself.
+    rho(m) - rho(m+1), with rho = 0 past the last term, so the last
+    lattice point keeps the tail below the survival floor.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sq = math.sqrt(n)
+    rho = [float(r) for _, r in pass_survival_sequence(n)] + [0.0]
     total = 0.0 + 0.0j
-    prev_m = None
-    prev_rho = None
-    for m, rho in pass_survival_sequence(n):
-        if prev_m is not None:
-            pmf = prev_rho - float(rho)
-            total += cmath.exp(1j * t * prev_m / sq) * pmf
-        prev_m, prev_rho = m, float(rho)
-    # last lattice point keeps its full remaining mass
-    total += cmath.exp(1j * t * prev_m / sq) * prev_rho
+    for m in range(len(rho) - 1):
+        total += cmath.exp(1j * t * m / sq) * (rho[m] - rho[m + 1])
     return total
 
 

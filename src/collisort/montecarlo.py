@@ -245,9 +245,6 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
     length = min(length, tally.size - first)
     counts = tally[first : first + length].astype(np.float64)
     grid, exact_cdf, rayleigh_cdf = _exact_lattice(kind, n, length)
-    leftover = trials - counts.sum()
-    if leftover:  # values beyond the scan window (possible only for tiny n)
-        counts[-1] += leftover
     ecdf = np.cumsum(counts) / trials
     ks_exact = float(np.max(np.abs(ecdf - exact_cdf)))
     ks_ray = float(np.max(np.abs(ecdf - rayleigh_cdf)))

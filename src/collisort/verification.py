@@ -8,8 +8,9 @@ is 2P-1 per run, one below the commonly quoted 2P.
 
 Only the suites that draw or enumerate with numpy load it, when they run:
 stein-chen, rayleigh-ks and montecarlo import montecarlo and poisson_approx,
-and inversion-lemma and opcount-lemmas walk the permutations of n <= 8 as
-numpy batches through the batch forms of `sorters`.
+and inversion-lemma, opcount-lemmas and its subset lemma-8-4 walk the
+permutations of n <= 8 as numpy batches through the batch forms of `sorters`.
+paper-values, enumeration, asymptotic-orders and optimal-shift run without it.
 """
 
 from __future__ import annotations

@@ -170,6 +170,43 @@ def test_simulate_opcounts_assert_fails_on_zero_spread_miss(capsys, monkeypatch)
     assert row["se_mean"] == 0.0 and row["deviation_se"] == math.inf
 
 
+def test_simulate_law_and_delta_assert_fail_past_their_limits(capsys, monkeypatch):
+    # a KS distance of 1 is past any critical value; a TV distance of 1 with
+    # no spread is past any Stein-Chen bound below 1
+    def far_law(kind, n, trials, stream):
+        return EmpiricalSummary(kind, n, None, trials, 0.0, 0.0, 0.0, ks_exact=1.0)
+
+    def far_matches(kind, n, m, trials, stream):
+        return EmpiricalSummary(kind, n, m, trials, 0.0, 0.0, 0.0, tv_distance=1.0, tv_se=0.0)
+
+    monkeypatch.setattr(montecarlo, "empirical_law", far_law)
+    monkeypatch.setattr(montecarlo, "empirical_pair_matches", far_matches)
+    code, out, _ = run_cli(capsys, "simulate", "law", "--kind", "pass", "--n", "1000",
+                           "--trials", "2000", "--assert")
+    assert code == EXIT_FAILURE
+    assert json.loads(out)["rows"][0]["ks_exact"] == 1.0
+    code, out, _ = run_cli(capsys, "simulate", "delta", "--kind", "birthday", "--n", "365",
+                           "--m", "22", "--trials", "2000", "--assert")
+    assert code == EXIT_FAILURE
+    assert json.loads(out)["rows"][0]["within_bound"] is False
+
+
+def test_simulate_randomize_replaces_the_default_seed(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "law", "--kind", "pass", "--n", "100",
+                           "--trials", "1000", "--randomize")
+    assert code == EXIT_OK
+    seed = json.loads(out)["rows"][0]["seed"]
+    assert isinstance(seed, int) and seed != montecarlo.DEFAULT_SEED
+
+
+def test_approx_varrho_off_lattice_has_no_exact_column(capsys):
+    # x*sqrt(n) = 0.5 lies halfway between lattice points 0 and 1
+    code, out, _ = run_cli(capsys, "approx", "varrho", "--n", "10000", "--x", "0.005")
+    assert code == EXIT_OK
+    (row,) = json.loads(out)["rows"]
+    assert "exact" not in row and math.isfinite(row["value"])
+
+
 def test_usage_error_exit_code(capsys):
     for argv in (("exact", "pass-cdf", "--n", "5", "--m", "9"),
                  ("exact", "series", "--n", "22", "--m", "21"),

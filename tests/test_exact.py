@@ -235,6 +235,27 @@ def test_sandwich_exhaustive_to_300():
             assert np_ * du <= nu * dp, f"upper bound fails at n={n}, m={m}"
 
 
+# the sandwich ordering on both sides of m*log10(n) = 280, where the
+# products leave the one-ratio path for the factor loop
+@settings(deadline=None)
+@example(n=365, m=22)
+@example(n=10**5, m=600)
+@given(n=st.integers(min_value=2, max_value=10**5), m=st.integers(min_value=1, max_value=600))
+def test_sandwich_and_common_ratio_within_err_of_fraction(n, m):
+    m = min(m, n // 2)
+    lower, upper = sandwich_bounds(n, m)
+    mid = pass_cdf(n, m)
+    lower_f = collision_sf_fraction(n - (m - 1), m)
+    upper_f = collision_sf_fraction(n, m)
+    mid_f = pass_cdf_fraction(n, m)
+    for value, oracle in ((lower, lower_f), (upper, upper_f), (mid, mid_f)):
+        assert abs(value.to_fraction() - oracle) <= value.err
+    assert lower.to_fraction() - Fraction(lower.err) <= mid_f
+    assert mid_f <= upper.to_fraction() + Fraction(upper.err)
+    ratio = relative_error_common(n, m).exact_ratio
+    assert abs(ratio.to_fraction() - upper_f / mid_f) <= ratio.err
+
+
 def _collision_int_parts(n, m):
     num = 1
     for k in range(1, m + 1):

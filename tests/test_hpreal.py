@@ -114,6 +114,43 @@ def test_err_monotone_growth():
     assert c.err >= b.err
 
 
+@settings(deadline=None)
+@given(finite_floats, nonzero_floats)
+def test_reflected_ops_and_abs_match_fraction(a, b):
+    diff = a - hp(b)
+    assert abs(diff.to_fraction() - (Fraction(a) - Fraction(b))) <= max(diff.err, 1e-300)
+    quot = a / hp(b)
+    assert abs(quot.to_fraction() - Fraction(a) / Fraction(b)) <= max(quot.err, 1e-300)
+    mag = (hp(a) / b).abs()
+    assert abs(mag.to_fraction() - abs(Fraction(a) / Fraction(b))) <= max(mag.err, 1e-300)
+
+
+@settings(deadline=None)
+@given(finite_floats, finite_floats, nonzero_floats)
+def test_greater_than_matches_fraction_beyond_err(a, b, c):
+    x, y = hp(a) / c, hp(b) / c
+    gap = (Fraction(a) - Fraction(b)) / Fraction(c)
+    if abs(gap) > Fraction(x.err + y.err):
+        assert (x > y) == (gap > 0)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.1, max_value=3.0))
+def test_pow_int_negative_matches_fraction(k, base):
+    r = hp(base).pow_int(-k)
+    assert abs(r.to_fraction() - Fraction(base) ** -k) <= r.err
+
+
+@settings(deadline=None)
+@given(finite_floats, finite_floats)
+def test_equal_values_hash_equal(a, b):
+    x, y = hp(a) + hp(b), hp(b) + hp(a)
+    assert x == y and hash(x) == hash(y)
+    wider = HPReal(x.hi, x.lo, x.err + 1.0)  # comparisons and hash ignore err
+    assert wider == x and hash(wider) == hash(x)
+    assert hp(a) == a and hash(hp(a)) == hash(a)
+
+
 def test_comparisons():
     assert hp(1) / 3 < hp(1) / 2
     assert hp(2) >= hp(2)

@@ -1,4 +1,5 @@
-"""Import boundary: the exact and approx paths run without numpy.
+"""Import boundary: the exact and approx paths and the verify suites that
+need no sampling or permutation batches run without numpy.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long imported numpy.
@@ -73,6 +74,22 @@ for argv in {README_EXACT_APPROX!r}:
 print(json.dumps(loaded))
 """)
     assert json.loads(out) == [False] * (2 + len(README_EXACT_APPROX))
+
+
+NUMPY_FREE_SUITES = ["paper-values", "enumeration", "asymptotic-orders", "optimal-shift"]
+
+
+def test_numpy_free_verify_suites_do_not_import_numpy():
+    out = _python(f"""
+import contextlib, io, json, sys
+import collisort.cli
+codes = []
+for suite in {NUMPY_FREE_SUITES!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(collisort.cli.main(["verify", "--suite", suite]))
+print(json.dumps([codes, "numpy" in sys.modules]))
+""")
+    assert json.loads(out) == [[0] * len(NUMPY_FREE_SUITES), False]
 
 
 def test_monte_carlo_name_loads_numpy():
