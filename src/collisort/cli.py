@@ -10,24 +10,21 @@ Exit codes: 0 ok, 1 assertion or claim failure, 2 usage error,
 3 resource-bound error, 4 internal error (an unexpected exception; it is
 reported as {"error": ..., "kind": "internal"} and never as a failed claim).
 
-Only `simulate` and the `verify` suites that the `verification` docstring
-names import numpy; `exact`, `approx` and the other suites run without it.
+Each command imports only the modules it uses: `exact` loads hpreal,
+powersums and exact; `approx` adds asymptotics, distributions and
+quadrature.  Only `simulate` and the `verify` suites that the
+`verification` docstring names import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
-import secrets
 import sys
 from dataclasses import asdict
 
-from . import asymptotics, exact, verification
 from .hpreal import HPReal
-from .sorters import ResourceBoundError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -54,6 +51,8 @@ def _summary_row(summary) -> dict:
 
 
 def _cmd_exact(args) -> tuple[list[dict], int]:
+    from . import exact
+
     t = args.target
     rows: list[dict] = []
     if t == "collision-sf":
@@ -118,16 +117,9 @@ def _with_reference(value: float, reference: float) -> dict:
     }
 
 
-# approx cdf/pmf: per side, the lattice kind, its option and its expansion
-_LATTICE_APPROX = {
-    "cdf": (("pass", "x", asymptotics.scaled_pass_cdf_approx),
-            ("collision", "z", asymptotics.scaled_collision_cdf_approx)),
-    "pmf": (("pass", "x", asymptotics.scaled_pass_pmf_approx),
-            ("collision", "z", asymptotics.scaled_collision_pmf_approx)),
-}
-
-
 def _cmd_approx(args) -> tuple[list[dict], int]:
+    from . import asymptotics, exact
+
     t = args.target
     n = args.n
     if n < 1:
@@ -148,12 +140,13 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
         else:
             row.update(_with_reference(value, reference))
         rows.append(row)
-    elif t in _LATTICE_APPROX:
-        for kind, arg, approx in _LATTICE_APPROX[t]:
+    elif t in ("cdf", "pmf"):
+        for kind, arg in (("pass", "x"), ("collision", "z")):  # each side's lattice and option
             point = getattr(args, arg)
             if point is None:
                 continue
-            value = approx(n, point)  # rejects points off the lattice
+            # scaled_pass_cdf_approx and its siblings reject points off the lattice
+            value = getattr(asymptotics, f"scaled_{kind}_{t}_approx")(n, point)
             v = round(point * math.sqrt(n))  # pass deficit n - P or collision C - 1
             sf, sf_next = (float(exact.lattice_sf(kind, n, w)) for w in (v, v + 1))
             rows.append({"target": f"scaled-{kind}-{t}", "n": n, arg: point,
@@ -265,6 +258,8 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
 
 
 def _cmd_verify(args) -> tuple[list[dict], int]:
+    from . import verification
+
     results = verification.run_suite(args.suite)
     rows = [
         {
@@ -289,6 +284,9 @@ def emit_rows(rows: list[dict], fmt: str, path: str | None) -> None:
     if fmt == "json":
         text = json.dumps({"schema_version": 1, "rows": rows}, indent=2)
     elif fmt == "csv":
+        import csv
+        import io
+
         header: list[str] = []
         for row in rows:
             for key in row:
@@ -370,10 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
 
     p_verify = sub.add_parser("verify", help="named verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=sorted(verification.SUITES) + ["all"])
+    # set after add_argument, which would list them and so import verification
+    p_verify.add_argument("--suite", default="all").choices = _SuiteNames()
     add_common(p_verify)
     return parser
+
+
+class _SuiteNames:
+    """sorted(verification.SUITES) + ["all"], read only to check or print --suite."""
+
+    def __iter__(self):  # `in` falls back to iteration
+        from .verification import SUITES
+
+        return iter(sorted(SUITES) + ["all"])
 
 
 _DISPATCH = {
@@ -388,16 +395,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "randomize", False):
+        import secrets
+
         args.seed = secrets.randbits(63)
     try:
         rows, code = _DISPATCH[args.command](args)
-    except ResourceBoundError as exc:
-        print(json.dumps({"error": str(exc), "kind": "resource"}), file=sys.stderr)
-        return EXIT_RESOURCE
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # a crash must not read as a failed claim (exit 1)
+    except Exception as exc:
+        # only sorters and the modules importing it raise ResourceBoundError
+        from .sorters import ResourceBoundError
+
+        if isinstance(exc, ResourceBoundError):
+            print(json.dumps({"error": str(exc), "kind": "resource"}), file=sys.stderr)
+            return EXIT_RESOURCE
+        # a crash must not read as a failed claim (exit 1)
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}),
               file=sys.stderr)
         return EXIT_INTERNAL

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .hpreal import HPReal, hp
+from .hpreal import _TINY, _UNDERFLOW_FLOOR, HPReal, _dd_add, _dd_div, _dd_mul, _dd_pow, hp
 from .powersums import MAX_ORDER, power_sum
 
 SURVIVAL_FLOOR = 1e-40  # truncation threshold for moment sums
@@ -263,20 +263,51 @@ def optimal_shift(n: int, m: int) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
+# The survival kernel counts each value's double-double roundings in units of
+# u^2 = 2^-106, weighted by the relative error bounds of `hpreal`: add 4,
+# multiply 7, divide two doubles 2.  All operands are positive, so count K puts
+# the value within gamma_K = K u^2 / (1 - K u^2) of the truth (Higham, Lemma
+# 3.1); 1 + 2^-39 covers 1/(1 - gamma_K) and the rounding of err itself.
+_ADD, _MUL, _DIV = 4, 7, 2
+_U2 = 2.0 ** -106 * (1.0 + 2.0 ** -39)
+
+
+def _survival_walk(n: float, floor: float, factor):
+    """Yield (m, S_m) for m = 0, 1, ... while m < n, S_0 = 1 and S_(m+1) =
+    S_m * factor(m), a positive (hi, lo) and its count, stopping after the
+    first term below ``floor``.  err is value * gamma_K plus HPReal's absolute
+    allowance, carried as its multiplication carries it.  n < 2^53 keeps
+    every input exact."""
+    if not n < 2.0 ** 53:
+        raise ValueError(f"survival sequences need n < 2^53, got n={n}")
+    hi, lo, units, tiny = 1.0, 0.0, 0, 0.0
+    m = 0
+    while m < n:
+        yield m, HPReal(hi, lo, hi * units * _U2 + tiny)
+        if hi < floor:
+            return
+        fhi, flo, f_units = factor(m)
+        nonzero = hi != 0.0 and fhi != 0.0
+        hi, lo = _dd_mul(hi, lo, fhi, flo)
+        units += f_units + _MUL
+        tiny = tiny * (fhi + abs(flo)) + _TINY
+        if hi < _UNDERFLOW_FLOOR and nonzero:
+            tiny += _UNDERFLOW_FLOOR
+        m += 1
+
+
 def pass_survival_sequence(n: int, floor: float = SURVIVAL_FLOOR):
     """Yield (m, P{P_n <= n-m}) for m = 0, 1, ... until below ``floor``.
 
-    Uses the exact ratio (( n-m-1)/(n-m))^(m+1) between consecutive m,
-    so the whole sequence costs O(log m) multiplications per step.
+    Uses the exact ratio ((n-m-1)/(n-m))^(m+1) between consecutive m: one
+    double-double division and at most 2 log2(m+1) multiplications per step,
+    on floats, with one a priori err per term.
     """
-    rho = hp(1.0)
-    m = 0
-    while m < n:
-        yield m, rho
-        if rho.hi < floor:
-            return
-        rho = rho * (hp(n - m - 1) / (n - m)).pow_int(m + 1)
-        m += 1
+    def factor(m):  # squaring doubles a count and adds _MUL, so x^k has k (c + _MUL) - _MUL
+        hi, lo = _dd_pow(*_dd_div(float(n - m - 1), 0.0, float(n - m), 0.0), m + 1)
+        return hi, lo, (m + 1) * (_DIV + _MUL) - _MUL
+
+    return _survival_walk(n, floor, factor)
 
 
 def collision_survival_sequence(n: float, floor: float = SURVIVAL_FLOOR):
@@ -286,14 +317,10 @@ def collision_survival_sequence(n: float, floor: float = SURVIVAL_FLOOR):
     (n-k)/n per step.  n may be any real year length: for float n < 2^53
     every n - k is exact, so each factor is rounded once.
     """
-    sf = hp(1.0)
-    m = 0
-    while m < n:
-        yield m, sf
-        if sf.hi < floor:
-            return
-        sf = sf * (hp(n - m - 1) / n)
-        m += 1
+    def factor(m):
+        return (*_dd_div(float(n - m - 1), 0.0, float(n), 0.0), _DIV)
+
+    return _survival_walk(n, floor, factor)
 
 
 # lattice of each scaled statistic: its survival sequence yields
@@ -316,7 +343,10 @@ def lattice_sf(kind: str, n: int, v: int) -> HPReal:
 def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
     """k-th moment of X on the lattice x_j = j/sqrt(n) by Abel summation, from
     ``survival(n)``, which yields (m, S_m = P{X >= x_(m+first)}) with S_0 = 1:
-        E X^k = x_(first-1)^k + sum_m (x_(m+first)^k - x_(m+first-1)^k) S_m.
+        E X^k = n^(-k/2) sum_{j >= 1} (j^k - (j-1)^k) S_(j-first).
+    The integer-weighted terms, none negative, are summed on floats and scaled
+    once; on the pass lattice (first = 0) the start x_(-1)^k cancels against
+    the j = 0 term, which leaves it weight 0.
     The tail below the survival floor telescopes below floor * max(x)^k,
     which is folded into the err field.
     """
@@ -326,16 +356,20 @@ def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
         raise ValueError("moment order supported for 0 <= k <= 8")
     if k == 0:
         return hp(1.0)
-    inv_sqrt_n = hp(1.0) / hp(n).sqrt()
-    total = (-inv_sqrt_n).pow_int(k) if first == 0 else hp(0.0)
-    xk_prev = (inv_sqrt_n * (first - 1)).pow_int(k)
-    truncated = False
+    hi = lo = carried = 0.0  # carried: sum of the weighted term errs
+    terms = m = prev = 0
     for m, s in survival(n):
-        xk = (inv_sqrt_n * (m + first)).pow_int(k)
-        total = total + (xk - xk_prev) * s
-        xk_prev = xk
-        truncated = m < n - 1
-    if truncated:
+        pk = (m + first) ** k
+        w, prev = pk - prev, pk
+        whi = float(w)  # whi + wlo is w within u^2 relative: one more unit
+        thi, tlo = _dd_mul(whi, float(w - int(whi)), s.hi, s.lo)
+        hi, lo = _dd_add(hi, lo, thi, tlo)
+        carried += whi * s.err
+        terms += 1
+    # each term: its weight (1) and product (7), then at most `terms` additions
+    err = hi * (1 + _MUL + _ADD * terms) * _U2 + carried * (1.0 + 2.0 ** -20)
+    total = HPReal(hi, lo, err) * (hp(1.0) / hp(n).sqrt()).pow_int(k)
+    if m < n - 1:
         tail = SURVIVAL_FLOOR * float(n) ** (k / 2.0)
         total = HPReal(total.hi, total.lo, total.err + tail)
     return total

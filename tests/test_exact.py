@@ -1,6 +1,7 @@
 """Exact laws: product forms, series forms, cross-estimation, moments."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,14 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collisort.exact import (
+    SURVIVAL_FLOOR,
     ProblemSize,
     collision_sf,
     collision_sf_fraction,
     collision_sf_series,
+    collision_survival_sequence,
     optimal_shift,
     pass_cdf,
     pass_cdf_fraction,
     pass_cdf_series,
+    pass_survival_sequence,
     relative_error_common,
     relative_error_shifted,
     sandwich_bounds,
@@ -401,15 +405,20 @@ def test_scaled_pass_moment_err_bounds_oracle():
             assert float(got) == pytest.approx(float(reference), rel=1e-12)
 
 
-def _moment_fraction(kind, n, k):
-    """E X^k for X = (n - P)/sqrt(n) or (C - 1)/sqrt(n), exactly; k even."""
+def _lattice_moment(kind, n, k):
+    """E (sqrt(n) X)^k for X = (n - P)/sqrt(n) or (C - 1)/sqrt(n), exactly."""
     if kind == "pass":  # deficit d in 0..n-1, P{d >= m} = pass_cdf_fraction(n, m)
         sf = [pass_cdf_fraction(n, m) for m in range(n)] + [Fraction(0)]
         values = range(n)
     else:  # j = C - 1 in 1..n, P{j >= v} = collision_sf_fraction(n, v - 1)
         sf = [Fraction(1)] + [collision_sf_fraction(n, m) for m in range(n + 1)]
         values = range(1, n + 1)
-    return sum(Fraction(v) ** k * (sf[v] - sf[v + 1]) for v in values) / Fraction(n) ** (k // 2)
+    return sum(Fraction(v) ** k * (sf[v] - sf[v + 1]) for v in values)
+
+
+def _moment_fraction(kind, n, k):
+    """E X^k exactly; k even."""
+    return _lattice_moment(kind, n, k) / Fraction(n) ** (k // 2)
 
 
 # at even k the moments are rational, so the Fraction oracle is exact
@@ -423,6 +432,77 @@ def _moment_fraction(kind, n, k):
 def test_even_moments_match_fraction_within_err(kind, n, k):
     moment = (scaled_pass_moment if kind == "pass" else scaled_collision_moment)(n, k)
     assert abs(moment.to_fraction() - _moment_fraction(kind, n, k)) <= moment.err
+
+
+@pytest.mark.parametrize("kind", ("pass", "collision"))
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_small_n_moments_within_err(kind, n, k):
+    # n = 1: X = 0 (pass) or 1 (collision); n = 2 reaches odd powers of sqrt(2)
+    moment = (scaled_pass_moment if kind == "pass" else scaled_collision_moment)(n, k)
+    lattice = _lattice_moment(kind, n, k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(lattice.numerator) / lattice.denominator / Decimal(n).sqrt() ** k
+        got = Decimal(moment.hi) + Decimal(moment.lo)
+        assert abs(got - exact) <= Decimal(moment.err) + Decimal(10) ** -55
+
+
+# -- survival kernel ------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@example(kind="pass", n=1, floor=0.0)
+@example(kind="pass", n=200, floor=0.0)
+@example(kind="collision", n=200, floor=0.0)
+@given(kind=st.sampled_from(("pass", "collision")), n=st.integers(min_value=1, max_value=200),
+       floor=st.sampled_from((SURVIVAL_FLOOR, 0.0)))
+def test_survival_terms_within_err_of_fraction(kind, n, floor):
+    # floor 0.0 walks to m = n - 1 as euler_maclaurin_residual does, past the
+    # double range at n = 200 (pass_cdf(200, 199) = 1/200!)
+    sequence, oracle = ((pass_survival_sequence, pass_cdf_fraction) if kind == "pass"
+                        else (collision_survival_sequence, collision_sf_fraction))
+    terms = 0
+    for m, s in sequence(n, floor):
+        assert abs(s.to_fraction() - oracle(n, m)) <= Fraction(s.err)
+        terms += 1
+    assert terms == n if floor == 0.0 else 1 <= terms <= n
+
+
+@settings(deadline=None)
+@example(year=365 - 21 / 3.0, floor=SURVIVAL_FLOOR)
+@example(year=150.25, floor=0.0)
+@given(year=st.floats(min_value=1.0, max_value=400.0), floor=st.sampled_from((SURVIVAL_FLOOR, 0.0)))
+def test_collision_terms_at_real_year_length_within_err(year, floor):
+    exact, y = Fraction(1), Fraction(year)
+    for m, s in collision_survival_sequence(year, floor):
+        assert abs(s.to_fraction() - exact) <= Fraction(s.err)
+        exact *= (y - m - 1) / y
+
+
+# wherever the log series converges: within err of the product, or refused
+# when 64 orders do not reach the stopping rule
+@settings(deadline=None)
+@example(kind="collision", n=365, share=0.06)
+@example(kind="pass", n=2.5, share=0.0)
+@given(kind=st.sampled_from(("pass", "collision")),
+       n=st.integers(min_value=2, max_value=10**4) | st.floats(min_value=2.0, max_value=1e4),
+       share=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_series_auto_depth_within_err_of_product(kind, n, share):
+    # m < base, the series' base: n - m (pass) or n (collision)
+    top = math.ceil(n / 2 if kind == "pass" else n)
+    m = min(int(share * top), 300)
+    y = Fraction(n)
+    base = y - m if kind == "pass" else y
+    exact = Fraction(1)
+    for k in range(1, m + 1):
+        exact *= base / (base + k) if kind == "pass" else (y - k) / y
+    try:
+        value = (pass_cdf_series if kind == "pass" else collision_sf_series)(n, m)
+    except ValueError as exc:  # 64 orders miss the stopping rule only past m/base = 1/2
+        assert "does not converge" in str(exc) and m / base > Fraction(1, 2)
+        return
+    assert abs(value.to_fraction() - exact) <= Fraction(value.err)
 
 
 def test_scaled_collision_moment_degenerate():

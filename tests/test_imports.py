@@ -1,5 +1,6 @@
 """Import boundary: the exact and approx paths and the verify suites that
-need no sampling or permutation batches run without numpy.
+need no sampling or permutation batches run without numpy, and each command
+loads only the modules it uses.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long imported numpy.
@@ -74,6 +75,24 @@ for argv in {README_EXACT_APPROX!r}:
 print(json.dumps(loaded))
 """)
     assert json.loads(out) == [False] * (2 + len(README_EXACT_APPROX))
+
+
+def test_exact_and_approx_commands_load_only_their_modules():
+    # each kind in its own interpreter, so one kind's imports do not hide the other's
+    loaded = {}
+    for kind in ("exact", "approx"):
+        argvs = [a for a in README_EXACT_APPROX if a.startswith(kind)]
+        loaded[kind] = json.loads(_python(f"""
+import contextlib, io, json, sys
+import collisort.cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert collisort.cli.main(argv.split()) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("collisort."))))
+"""))
+    assert loaded["exact"] == ["collisort.cli", "collisort.exact", "collisort.hpreal",
+                               "collisort.powersums"]
+    assert not {"collisort.sorters", "collisort.verification"} & set(loaded["approx"])
 
 
 NUMPY_FREE_SUITES = ["paper-values", "enumeration", "asymptotic-orders", "optimal-shift"]
