@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .exact import pass_cdf, pass_survival_sequence
+from .exact import pass_cdf, pass_survival_sequence, scaled_pass_moment
 from .hpreal import HPReal, PI, hp
-from .distributions import normal_cdf_imag
+from .distributions import rayleigh_charfn_core
 from .powersums import bernoulli, faulhaber_coefficients
 from .quadrature import adaptive_quad
 
@@ -335,9 +335,7 @@ def scaled_pass_charfn_approx(n: int, t: float) -> complex:
         raise ValueError(f"charfn approximation supported for |t| <= 8, got t={t}")
     sq = math.sqrt(n)
     it = complex(0.0, t)
-    first = (1.0 - (6.0 - t * t) * it / (3.0 * sq)) * (
-        math.sqrt(2.0 * math.pi) * math.exp(-t * t / 2.0) * it * normal_cdf_imag(t)
-    )
+    first = (1.0 - (6.0 - t * t) * it / (3.0 * sq)) * rayleigh_charfn_core(t)
     second = 1.0 - (5.0 - t * t) * it / (3.0 * sq)
     return first + second
 
@@ -386,6 +384,11 @@ class ExpectedOpDeltas:
         sq = math.sqrt(n)
         passes = n - sq * e1
         return cls((n * e2 - sq * e1) / 2.0, passes + n * (n - 1) / 4.0, 2.0 * passes - 1.0, n)
+
+    @classmethod
+    def exact(cls, n: int) -> ExpectedOpDeltas:
+        """The deltas from the exact moments `exact.scaled_pass_moment(n, 1 and 2)`."""
+        return cls.from_moments(n, *(float(scaled_pass_moment(n, k)) for k in (1, 2)))
 
 
 def expected_opcount_deltas(n: int) -> ExpectedOpDeltas:

@@ -49,30 +49,24 @@ class RayleighLaw:
 def poisson_pmf(law: PoissonLaw, k: int) -> float:
     """P{W = k} for W ~ Poisson(lam).
 
-    Direct product below k = 30, log space above to dodge factorial
-    overflow.
+    Direct product where it can neither under- nor overflow (k <= 30 and
+    lam < 700, so exp(-lam) and lam^k stay normal); log space elsewhere.
     """
     if k < 0:
         raise ValueError("Poisson support is the nonnegative integers")
     lam = law.lam
     if lam == 0.0:
         return 1.0 if k == 0 else 0.0
-    if k <= 30:
+    if k <= 30 and lam < 700.0:
         return lam ** k * math.exp(-lam) / math.factorial(k)
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
 def poisson_pmf_vector(law: PoissonLaw, kmax: int) -> list[float]:
-    """PMF values for k = 0..kmax, by stable upward recurrence."""
+    """PMF values for k = 0..kmax."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    lam = law.lam
-    if lam == 0.0:
-        return [1.0] + [0.0] * kmax
-    out = [math.exp(-lam)]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] * lam / k)
-    return out
+    return [poisson_pmf(law, k) for k in range(kmax + 1)]
 
 
 def exponential_sf(law: ExponentialLaw, w: float) -> float:
@@ -140,15 +134,14 @@ def normal_cdf_imag(t: float) -> complex:
     return complex(0.5, 0.5 * erfi(t / SQRT2))
 
 
+def rayleigh_charfn_core(t: float) -> complex:
+    """sqrt(2 pi) exp(-t^2/2) * (i t) * Phi(i t), the Rayleigh charfn less 1."""
+    return math.sqrt(2.0 * math.pi) * math.exp(-t * t / 2.0) * complex(0.0, t) * normal_cdf_imag(t)
+
+
 def rayleigh_charfn(t: float) -> complex:
     """Characteristic function of the standard Rayleigh law.
 
     sqrt(2 pi) exp(-t^2/2) * (i t) * Phi(i t) + 1.
     """
-    return (
-        math.sqrt(2.0 * math.pi)
-        * math.exp(-t * t / 2.0)
-        * complex(0.0, t)
-        * normal_cdf_imag(t)
-        + 1.0
-    )
+    return rayleigh_charfn_core(t) + 1.0

@@ -347,8 +347,7 @@ def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
     The integer-weighted terms, none negative, are summed on floats and scaled
     once; on the pass lattice (first = 0) the start x_(-1)^k cancels against
     the j = 0 term, which leaves it weight 0.
-    The tail below the survival floor telescopes below floor * max(x)^k,
-    which is folded into the err field.
+    The tail below the survival floor (`_abel_tail`) is folded into the err field.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -358,7 +357,9 @@ def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
         return hp(1.0)
     hi = lo = carried = 0.0  # carried: sum of the weighted term errs
     terms = m = prev = 0
-    for m, s in survival(n):
+    s = before = None
+    for m, term in survival(n):
+        before, s = s, term
         pk = (m + first) ** k
         w, prev = pk - prev, pk
         whi = float(w)  # whi + wlo is w within u^2 relative: one more unit
@@ -370,9 +371,24 @@ def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
     err = hi * (1 + _MUL + _ADD * terms) * _U2 + carried * (1.0 + 2.0 ** -20)
     total = HPReal(hi, lo, err) * (hp(1.0) / hp(n).sqrt()).pow_int(k)
     if m < n - 1:
-        tail = SURVIVAL_FLOOR * float(n) ** (k / 2.0)
-        total = HPReal(total.hi, total.lo, total.err + tail)
+        total = HPReal(total.hi, total.lo, total.err + _abel_tail(n, k, m + first, s, before))
     return total
+
+
+def _abel_tail(n: int, k: int, j: int, s: HPReal, before: HPReal) -> float:
+    """Bound on the sum n^(-k/2) sum_(i > j) (i^k - (i-1)^k) S_i that the walk
+    drops, with S_i = P{X >= x_i}, s = S_j its last term and before = S_(j-1).
+    The step ratios of both laws are nonincreasing, so r = s/before bounds every
+    later one; i^k - (i-1)^k <= k i^(k-1) <= k j^(k-1) ((j+1)/j)^((k-1)(i-j)), so
+    with rho = ((j+1)/j)^(k-1) r < 1 the sum is below k j^(k-1) s rho/(1-rho)
+    n^(-k/2).  Otherwise S_i < floor and i <= n give floor * n^(k/2).  1 + 2^-40
+    covers the roundings."""
+    top = s.hi + abs(s.lo) + s.err
+    rho = ((j + 1) / j) ** (k - 1) * top / (before.hi - abs(before.lo) - before.err)
+    rho *= 1.0 + 2.0 ** -40
+    if rho >= 1.0:
+        return SURVIVAL_FLOOR * float(n) ** (k / 2.0)
+    return k * j ** (k - 1) * top * rho / (1.0 - rho) / n ** (k / 2) * (1.0 + 2.0 ** -40)
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, exact
-from .poisson_approx import match_family, stein_chen_bound, tv_distance_to_poisson
+from .poisson_approx import MATCH_FAMILIES, match_family, stein_chen_bound, tv_distance_to_poisson
 from .sorters import ResourceBoundError, opcounts_from_stats
 
 DEFAULT_SEED = 0x5EED_B0B5
@@ -24,8 +24,8 @@ _CHUNK_BYTES = 8_000_000  # per-chunk occupancy bitmap or draw matrix
 _PACK_LIMIT = 1 << 53  # largest product of supports packed into one draw
 _MAX_DRAWS = 2_000_000_000  # random values, bitmap bits or tally cells per call
 
-LAW_KINDS = ("pass", "collision")
-MATCH_KINDS = ("birthday", "inversion")
+LAW_KINDS = tuple(exact.LATTICES)
+MATCH_KINDS = tuple(MATCH_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -249,10 +249,7 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
     ks_exact = float(np.max(np.abs(ecdf - exact_cdf)))
     ks_ray = float(np.max(np.abs(ecdf - rayleigh_cdf)))
 
-    scaled = grid  # lattice values of the scaled statistic
-    probs = counts / trials
-    mean = float(scaled @ probs)
-    var = float(((scaled - mean) ** 2) @ probs)
+    mean, var = _mean_var(grid, counts / trials)  # grid: lattice values of the scaled statistic
     se = math.sqrt(var / trials) if trials > 1 else 0.0
     return EmpiricalSummary(
         kind=kind,
@@ -265,6 +262,12 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
         ks_exact=ks_exact,
         ks_rayleigh=ks_ray,
     )
+
+
+def _mean_var(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """Mean and population variance of a law putting mass ``probs`` on ``values``."""
+    mean = float(values @ probs)
+    return mean, float(((values - mean) ** 2) @ probs)
 
 
 def empirical_law(kind: str, n: int, trials: int, stream: SeededStream) -> EmpiricalSummary:
@@ -308,8 +311,7 @@ def empirical_pair_matches(
 
     probs = tally / trials
     support = np.arange(tally.size)
-    mean = float(support @ probs)
-    var = float(((support - mean) ** 2) @ probs)
+    mean, var = _mean_var(support, probs)
     tv = tv_distance_to_poisson({int(k): float(p) for k, p in zip(support, probs) if p}, mu)
     tv_se = 0.5 * math.sqrt(float(np.sum(probs * (1.0 - probs))) / trials)
     return EmpiricalSummary(
@@ -429,8 +431,7 @@ def opcount_deviations(n: int, counters: dict) -> dict[str, tuple[float, float]]
     A counter with zero spread is off by 0 se when its mean is within the
     float rounding of the expected value, and by infinitely many otherwise.
     """
-    deltas = asymptotics.ExpectedOpDeltas.from_moments(
-        n, *(float(exact.scaled_pass_moment(n, k)) for k in (1, 2)))
+    deltas = asymptotics.ExpectedOpDeltas.exact(n)
     out = {}
     for name, s in counters.items():
         target = getattr(deltas, name)

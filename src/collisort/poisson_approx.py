@@ -114,13 +114,14 @@ def inversion_family(n: int, m: int) -> DissociatedFamily:
     return DissociatedFamily(tuple(range(n, n - m - 1, -1)), f"inversion(n={n}, m={m})")
 
 
+MATCH_FAMILIES = {"birthday": birthday_family, "inversion": inversion_family}
+
+
 def match_family(kind: str, n: int, m: int) -> DissociatedFamily:
     """The family of a match kind: "birthday" draws or "inversion" table entries."""
-    if kind == "birthday":
-        return birthday_family(n, m)
-    if kind == "inversion":
-        return inversion_family(n, m)
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in MATCH_FAMILIES:
+        raise ValueError(f"unknown kind {kind!r}")
+    return MATCH_FAMILIES[kind](n, m)
 
 
 def stein_chen_bound(family: DissociatedFamily) -> SteinChenReport:

@@ -43,40 +43,30 @@ def _check(claim_id: str, ok: bool, observed, expected, detail: str = "") -> Cla
 # headline reproductions
 # ---------------------------------------------------------------------------
 
-PRINTED_COLLISION_365_22 = 0.4927028
-PRINTED_PASS_365_22 = 0.4857848
-PRINTED_COLLISION_358_22 = 0.4857834
-PRINTED_MEAN_1E4 = 1.23670494307038
-PRINTED_SECOND_1E4 = 1.950365345384
-PRINTED_VARIANCE_1E4 = 0.4209262291695
 PRINTED_MEAN_APPROX_1E4 = 1.23670494307065
 PRINTED_SECOND_APPROX_1E4 = 1.950365345354
 PRINTED_VARIANCE_APPROX_1E4 = 0.4209262291679
 
+# (claim, value function and its arguments, printed value, tolerance kind and
+# size, digits shown); N1E4-STATS checks three values at once and stands apart
+_PAPER_VALUES = (
+    ("P365-M22-COLLSF", exact.collision_sf, (365, 22), 0.4927028, "abs", "5e-8", 10),
+    ("P365-M22-PASSCDF", exact.pass_cdf, (365, 22), 0.4857848, "abs", "5e-8", 10),
+    ("N358-M22-COLLSF", exact.collision_sf, (358, 22), 0.4857834, "abs", "5e-8", 10),
+    ("N1E4-EXN", exact.scaled_pass_moment, (10**4, 1), 1.23670494307038, "rel", "1e-12", 15),
+    ("N1E4-EX2N", exact.scaled_pass_moment, (10**4, 2), 1.950365345384, "rel", "1e-10", 15),
+    ("N1E4-VXN", exact.scaled_pass_variance, (10**4,), 0.4209262291695, "rel", "1e-9", 15),
+)
+
 
 def suite_paper_values() -> list[ClaimResult]:
     out = []
-    v = float(exact.collision_sf(365, 22))
-    out.append(_check("P365-M22-COLLSF", abs(v - PRINTED_COLLISION_365_22) <= 5e-8,
-                      f"{v:.10f}", PRINTED_COLLISION_365_22, "abs tol 5e-8"))
-    v = float(exact.pass_cdf(365, 22))
-    out.append(_check("P365-M22-PASSCDF", abs(v - PRINTED_PASS_365_22) <= 5e-8,
-                      f"{v:.10f}", PRINTED_PASS_365_22, "abs tol 5e-8"))
-    v = float(exact.collision_sf(358, 22))
-    out.append(_check("N358-M22-COLLSF", abs(v - PRINTED_COLLISION_358_22) <= 5e-8,
-                      f"{v:.10f}", PRINTED_COLLISION_358_22, "abs tol 5e-8"))
-
-    n = 10**4
-    e1 = float(exact.scaled_pass_moment(n, 1))
-    out.append(_check("N1E4-EXN", abs(e1 - PRINTED_MEAN_1E4) <= 1e-12 * PRINTED_MEAN_1E4,
-                      f"{e1:.15f}", PRINTED_MEAN_1E4, "rel tol 1e-12"))
-    e2 = float(exact.scaled_pass_moment(n, 2))
-    out.append(_check("N1E4-EX2N", abs(e2 - PRINTED_SECOND_1E4) <= 1e-10 * PRINTED_SECOND_1E4,
-                      f"{e2:.15f}", PRINTED_SECOND_1E4, "rel tol 1e-10"))
-    vv = float(exact.scaled_pass_variance(n))
-    out.append(_check("N1E4-VXN", abs(vv - PRINTED_VARIANCE_1E4) <= 1e-9 * PRINTED_VARIANCE_1E4,
-                      f"{vv:.15f}", PRINTED_VARIANCE_1E4, "rel tol 1e-9"))
-    stats = asymptotics.scaled_pass_stats_approx(n)
+    for claim_id, value, args, printed, kind, tol, digits in _PAPER_VALUES:
+        v = float(value(*args))
+        limit = float(tol) * (printed if kind == "rel" else 1.0)
+        out.append(_check(claim_id, abs(v - printed) <= limit, f"{v:.{digits}f}", printed,
+                          f"{kind} tol {tol}"))
+    stats = asymptotics.scaled_pass_stats_approx(10**4)
     ok = (
         abs(stats.mean_approx - PRINTED_MEAN_APPROX_1E4) <= 1e-12 * PRINTED_MEAN_APPROX_1E4
         and abs(stats.second_moment_approx - PRINTED_SECOND_APPROX_1E4)

@@ -433,3 +433,12 @@ def test_stirling_constants_from_bernoulli_unchanged():
     literal = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260), Fraction(-1, 1680)]
     assert [(c.hi, c.lo, c.err) for c in asymptotics._STIRLING_COEFFS] == [
         (c.hi, c.lo, c.err) for c in map(HPReal.from_fraction, literal)]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: scaled_pass_survival(0, 0.0), id="survival-n0"),
+    pytest.param(lambda: scaled_pass_survival_expansion(0, 1.0), id="expansion-n0"),
+])
+def test_asymptotics_refuses_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

@@ -339,3 +339,87 @@ def test_verify_optimal_shift_suite(capsys):
     assert code == EXIT_OK
     rows = json.loads(out)["rows"]
     assert {r["claim_id"] for r in rows} == {"SHIFT-365-22", "SHIFT-1000-16", "SHIFT-5000-40"}
+
+
+# `*_dec` digits and `*_err` bounds of the exact commands, recorded when each
+# err was last reworked: the digits may not move and no err may grow
+PINNED_EXACT = {
+    "exact collision-sf --n 365 --m 22": [
+        ("value", "0.4927027656760145927745828", 1.5551526682703676e-30),
+    ],
+    "exact pass-cdf --n 365 --m 22": [
+        ("value", "0.4857847514509997698473887", 1.5335985586371133e-30),
+    ],
+    "exact series --n 365 --m 22 --depth 12": [
+        ("value", "0.4927027656760146045386732", 3.805790103895872e-29),
+        ("value", "0.4857847514509997931632335", 3.7830214836810603e-29),
+    ],
+    "exact sandwich --n 365 --m 22": [
+        ("lower", "0.4714012682588789977172875", 1.487700001313203e-30),
+        ("pass_cdf", "0.4857847514509997698473887", 1.5335985586371133e-30),
+        ("upper", "0.4927027656760145927745828", 1.5551526682703676e-30),
+    ],
+    "exact relerr --n 365 --m 22": [
+        ("exact_ratio", "1.014240904442453728444080", 9.667641384224227e-30),
+        ("exact_ratio", "0.9999971800367087022883810", 1.4657146511140084e-28),
+    ],
+    "exact moments --n 10000 --k 2": [
+        ("value", "1.950365345384212138806458", 2.3422940896549538e-27),
+        ("value", "1.987500087813191883854096", 2.3966276733033266e-28),
+        ("value", "0.4209262291695097744933799", 4.295784871583101e-27),
+    ],
+    "exact moments --n 1000000 --k 8": [
+        ("value", "379.8110302239801762855055", 1.0000016838613392e-16),
+        ("value", "382.4235416529381225842273", 1.0000000043110648e-16),
+        ("value", "0.4283689125240732966415071", 3.982625856574495e-25),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_EXACT))
+def test_exact_digits_pinned_and_err_no_larger(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    got = [(key[:-4], row[key], row[key[:-4] + "_err"])
+           for row in json.loads(out)["rows"] for key in row if key.endswith("_dec")]
+    pinned = PINNED_EXACT[argv]
+    assert [g[:2] for g in got] == [p[:2] for p in pinned]
+    assert all(g[2] <= p[2] for g, p in zip(got, pinned))
+
+
+@pytest.mark.parametrize("argv", [
+    "exact moments --n 100 --k 9",
+    "exact moments --n 9007199254740993",
+    "exact relerr --n 200 --m 199",
+    "exact relerr --n 10 --m 9",
+    "approx moments --n 100 --k 9",
+])
+def test_refused_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert json.loads(err)["kind"] == "usage"
+
+
+def test_exact_moments_of_order_zero_are_one(capsys):
+    code, out, _ = run_cli(capsys, "exact", "moments", "--n", "100", "--k", "0")
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [r["value"] for r in rows[:2]] == [1.0, 1.0]
+
+
+def test_csv_leaves_missing_columns_empty(capsys):
+    code, out, _ = run_cli(capsys, "approx", "cdf", "--n", "10000", "--x", "1.0", "--z", "1.0",
+                           "--output", "csv")
+    assert code == EXIT_OK
+    header, pass_row, collision_row = csv.reader(io.StringIO(out))
+    assert pass_row[header.index("z")] == ""
+    assert collision_row[header.index("x")] == ""
+
+
+def test_delta_tv_is_a_distance_at_a_large_poisson_mean(capsys):
+    # mu = 992.5: every Poisson term of the upward recurrence underflowed to 0
+    code, out, _ = run_cli(capsys, "simulate", "delta", "--kind", "inversion", "--n", "1000",
+                           "--m", "999", "--trials", "1000")
+    assert code == EXIT_OK
+    assert 0.0 <= json.loads(out)["rows"][0]["tv_distance"] <= 1.0

@@ -184,3 +184,29 @@ def test_rayleigh_charfn_against_quadrature():
             lambda w: math.sin(t * w) * w * math.exp(-w * w / 2.0), 0.0, 40.0, abs_tol=1e-13
         )
         assert cmath.isclose(rayleigh_charfn(t), complex(re, im), rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ExponentialLaw(0), id="exponential-rate-0"),
+    pytest.param(lambda: RayleighLaw(0), id="rayleigh-scale-0"),
+    pytest.param(lambda: poisson_pmf_vector(PoissonLaw(1.0), -1), id="pmf-vector-kmax-1"),
+    pytest.param(lambda: rayleigh_moment(-1), id="rayleigh-moment-1"),
+])
+def test_distributions_refuse_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_poisson_pmf_vector_sums_to_one_past_exp_underflow():
+    # exp(-915) underflows, so a recurrence started from it gives all zeros
+    assert abs(sum(poisson_pmf_vector(PoissonLaw(915.0), 2000)) - 1.0) <= 1e-12
+
+
+def test_poisson_pmf_stays_finite_at_a_huge_rate():
+    assert math.isfinite(poisson_pmf(PoissonLaw(1e11), 30))
+
+
+def test_poisson_pmf_vector_is_the_scalar_rule():
+    for lam in (0.0, 0.505, 30.0, 699.0, 700.0, 992.5):
+        law = PoissonLaw(lam)
+        assert poisson_pmf_vector(law, 60) == [poisson_pmf(law, k) for k in range(61)]

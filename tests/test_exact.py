@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collisort.exact import (
+    LATTICES,
     SURVIVAL_FLOOR,
     ProblemSize,
+    _abel_tail,
     collision_sf,
     collision_sf_fraction,
     collision_sf_series,
@@ -533,3 +535,40 @@ def test_scaled_charfn_exact_basics():
     assert scaled_pass_charfn_exact(100, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
     v = scaled_pass_charfn_exact(100, 0.7)
     assert abs(v) <= 1.0 + 1e-12
+
+
+# -- validation branches, the Abel tail ---------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: scaled_pass_charfn_exact(0, 1.0), id="charfn-n0"),
+    pytest.param(lambda: relative_error_shifted(10, 0), id="shifted-m0"),
+])
+def test_exact_refuses_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# term m of each survival walk at n = 400 as a Fraction; n^(k/2) = 20^k there
+_SURVIVAL_400 = {
+    "pass": lambda m: Fraction((400 - m) ** m * math.factorial(400 - m), math.factorial(400)),
+    "collision": lambda m: Fraction(math.perm(399, m), 400 ** m),
+}
+
+
+@pytest.mark.parametrize("kind, stop", [("pass", 214), ("collision", 239)])
+def test_abel_tail_bounds_the_dropped_terms(kind, stop):
+    sequence, first = LATTICES[kind]
+    *_, (_, before), (m, s) = sequence(400)
+    assert m == stop
+    for k in range(1, 9):
+        tail = sum(((i + first) ** k - (i + first - 1) ** k) * _SURVIVAL_400[kind](i)
+                   for i in range(m + 1, 400)) / Fraction(20) ** k
+        bound = Fraction(_abel_tail(400, k, m + first, s, before))
+        assert tail <= bound <= tail * Fraction(105, 100)
+
+
+def test_high_moments_at_a_million_carry_no_floor_sized_err():
+    # rounding sets these errs (1.7e-22 and 4.3e-25); the dropped tail is below 1e-30
+    for moment in (scaled_pass_moment, scaled_collision_moment):
+        assert moment(10**6, 8).err < 1e-21

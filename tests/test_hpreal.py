@@ -173,3 +173,12 @@ def test_exp_overflow_guard():
     with pytest.raises(OverflowError):
         hp(800.0).exp()
     assert float(hp(-800.0).exp()) == 0.0
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: hp(-1).log(), ValueError, id="log-negative"),
+    pytest.param(lambda: hp("x"), TypeError, id="from-str"),
+])
+def test_hpreal_refuses_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()

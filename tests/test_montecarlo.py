@@ -388,3 +388,13 @@ def test_exact_ks_values_decrease():
         assert values[0] > values[1] > values[2]
         for v, n in zip(values, (100, 1000, 10000)):
             assert v <= 2.5 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sample_first_collision(0, SeededStream()), id="first-collision-n0"),
+    pytest.param(lambda: sample_inversion_table(0, SeededStream()), id="inversion-table-n0"),
+    pytest.param(lambda: exact_law_ks_vs_rayleigh("birthday", 10), id="ks-kind"),
+])
+def test_montecarlo_refuses_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

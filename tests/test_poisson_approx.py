@@ -11,6 +11,7 @@ from collisort.poisson_approx import (
     cross_means_direct,
     inversion_family,
     match_count_law,
+    match_family,
     ordered_triple_sum,
     poisson_limit_functionals,
     stein_chen_bound,
@@ -251,3 +252,14 @@ def test_tv_distance_helper():
     assert tv_distance_to_poisson({0: 1.0}, 1.0) == pytest.approx(
         1.0 - math.exp(-1.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: match_family("x", 3, 1), id="family-kind"),
+    pytest.param(lambda: match_count_law("x", 3, 1), id="law-kind"),
+    pytest.param(lambda: match_count_law("birthday", 3, 5), id="law-m-over-n"),
+    pytest.param(lambda: tv_distance_to_poisson({}, -1), id="tv-negative-mu"),
+])
+def test_poisson_approx_refuses_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

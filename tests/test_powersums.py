@@ -32,3 +32,11 @@ def test_power_sum_bounds():
         power_sum(65, 3)
     with pytest.raises(ValueError):
         power_sum(-1, 3)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: bernoulli(-1), id="bernoulli-negative"),
+])
+def test_powersums_refuse_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

@@ -17,6 +17,8 @@ from collisort.sorters import (
     ResourceBoundError,
     all_permutations,
     bubble_sort_instrumented,
+    check_inversion_table,
+    check_permutation,
     enumerate_collision_survival,
     enumerate_pass_distribution,
     equal_pair_count,
@@ -319,3 +321,14 @@ def test_pass_distinction_identity():
                 if len(set(prefix)) == m + 1:
                     distinct += 1
             assert Fraction(distinct, total) == pass_cdf_fraction(n, m)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: check_permutation(()), id="empty-permutation"),
+    pytest.param(lambda: check_inversion_table(()), id="empty-table"),
+    pytest.param(lambda: opcounts_from_stats(3, 1, 0, "bogus"), id="variant"),
+    pytest.param(lambda: enumerate_collision_survival(3, 5), id="collision-m-over-n"),
+])
+def test_sorters_refuse_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

@@ -1,5 +1,7 @@
 """Verification suites: stable claim IDs and the shared permutation walk."""
 
+import pytest
+
 from collisort import sorters, verification
 
 STABLE_CLAIM_IDS = [
@@ -36,3 +38,11 @@ def test_permutation_suites_share_one_walk(monkeypatch):
 
 def test_run_all_returns_each_stable_claim_once():
     assert [c.claim_id for c in verification.run_suite("all")] == STABLE_CLAIM_IDS
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: verification.run_suite("nope"), id="unknown-suite"),
+])
+def test_verification_refuses_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
