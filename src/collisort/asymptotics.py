@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .exact import pass_cdf, pass_survival_sequence, scaled_pass_moment
+from .exact import (LATTICES, _MAX_MOMENT_ORDER, pass_cdf, pass_survival_sequence,
+                    scaled_pass_moment)
 from .hpreal import HPReal, PI, hp
 from .distributions import rayleigh_charfn_core
 from .powersums import bernoulli, faulhaber_coefficients
@@ -169,14 +170,16 @@ def _value(terms, n: int, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_index(n: int, x: float, lo: int, hi: int, what: str) -> int:
-    """Map x to the integer x*sqrt(n), rejecting off-lattice arguments."""
+def _lattice_index(kind: str, n: int, x: float, what: str) -> int:
+    """Map x to the lattice value x*sqrt(n) of ``kind``, rejecting points off
+    the lattice or outside its values first..first + n - 1."""
+    lo = LATTICES[kind][1]
     mf = x * math.sqrt(n)
     m = round(mf)
     if abs(mf - m) > 1e-8 * max(1.0, abs(mf)):
         raise ValueError(f"{what}: x*sqrt(n) = {mf} is not an integer lattice point")
-    if not lo <= m <= hi:
-        raise ValueError(f"{what}: lattice index x*sqrt(n) = {m} outside {lo}..{hi}")
+    if not lo <= m < lo + n:
+        raise ValueError(f"{what}: lattice index x*sqrt(n) = {m} outside {lo}..{lo + n - 1}")
     return m
 
 
@@ -188,7 +191,7 @@ def scaled_pass_survival(n: int, x: float) -> HPReal:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = _lattice_index(n, x, 0, n - 1, "scaled_pass_survival")
+    m = _lattice_index("pass", n, x, "scaled_pass_survival")
     return pass_cdf(n, m)
 
 
@@ -227,7 +230,7 @@ def scaled_pass_cdf_approx(n: int, x: float) -> float:
     Remainder is of order x^4/n.  The topmost lattice point (passes = 1)
     extrapolates the formula beyond its derivation range.
     """
-    _lattice_index(n, x, 0, n - 1, "scaled_pass_cdf_approx")
+    _lattice_index("pass", n, x, "scaled_pass_cdf_approx")
     return 1.0 - math.exp(_value(_floats(_exponent, "pass", 1, 1), n, x))
 
 
@@ -238,7 +241,7 @@ def scaled_pass_pmf_approx(n: int, x: float) -> float:
     rejected; the exact lattice pmf from survival differences is the
     authoritative value there.
     """
-    m = _lattice_index(n, x, 0, n - 1, "scaled_pass_pmf_approx")
+    m = _lattice_index("pass", n, x, "scaled_pass_pmf_approx")
     if m == 0:
         raise ValueError("scaled_pass_pmf_approx is singular at x = 0")
     sq = math.sqrt(n)
@@ -250,13 +253,13 @@ def scaled_pass_pmf_approx(n: int, x: float) -> float:
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
     """F_Z(z) ~ 1 - exp(E) on the lattice, with E the generated collision
     exponent at m = z sqrt(n) through n^(-1/2)."""
-    _lattice_index(n, z, 1, n, "scaled_collision_cdf_approx")
+    _lattice_index("collision", n, z, "scaled_collision_cdf_approx")
     return 1.0 - math.exp(_value(_floats(_exponent, "collision", 0, 1), n, z))
 
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
     """P{Z = z} ~ (z exp(-z^2/2)/sqrt n) exp(-(z^3-3z)/(6 sqrt n))."""
-    _lattice_index(n, z, 1, n, "scaled_collision_pmf_approx")
+    _lattice_index("collision", n, z, "scaled_collision_pmf_approx")
     sq = math.sqrt(n)
     return (math.exp(-z * z / 2.0) * z / sq) * math.exp(
         -(z ** 3 - 3 * z) / (6.0 * sq)
@@ -320,8 +323,8 @@ def euler_maclaurin_residual(n: int, epsilon: float) -> float:
 def scaled_pass_moment_approx(n: int, k: int) -> float:
     """Two-term moment expansion E X^k ~ c_0 + c_1/sqrt(n), generated by
     Euler-Maclaurin from the survival expansion."""
-    if not 0 <= k <= 8:
-        raise ValueError("moment order supported for 0 <= k <= 8")
+    if not 0 <= k <= _MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order supported for 0 <= k <= {_MAX_MOMENT_ORDER}")
     return _value(_floats(_moment, "pass", k, 1), n, _ROOT_HALF_PI)
 
 

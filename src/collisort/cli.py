@@ -144,8 +144,9 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
             if point is None:
                 continue
             # scaled_pass_cdf_approx and its siblings reject points off the lattice
-            value = getattr(asymptotics, f"scaled_{kind}_{t}_approx")(n, point)
-            v = round(point * math.sqrt(n))  # pass deficit n - P or collision C - 1
+            what = f"scaled_{kind}_{t}_approx"
+            value = getattr(asymptotics, what)(n, point)
+            v = asymptotics._lattice_index(kind, n, point, what)  # n - P or C - 1
             sf, sf_next = (float(exact.lattice_sf(kind, n, w)) for w in (v, v + 1))
             rows.append({"target": f"scaled-{kind}-{t}", "n": n, arg: point,
                          **_with_reference(value, 1.0 - sf_next if t == "cdf" else sf - sf_next)})

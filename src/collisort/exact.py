@@ -26,6 +26,7 @@ from .hpreal import _TINY, _UNDERFLOW_FLOOR, HPReal, _dd_add, _dd_div, _dd_mul, 
 from .powersums import MAX_ORDER, power_sum
 
 SURVIVAL_FLOOR = 1e-40  # truncation threshold for moment sums
+_MAX_MOMENT_ORDER = 8  # highest moment order, exact and asymptotic
 
 
 @dataclass(frozen=True)
@@ -351,8 +352,8 @@ def _abel_moment(n: int, k: int, survival, first: int) -> HPReal:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 <= k <= 8:
-        raise ValueError("moment order supported for 0 <= k <= 8")
+    if not 0 <= k <= _MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order supported for 0 <= k <= {_MAX_MOMENT_ORDER}")
     if k == 0:
         return hp(1.0)
     hi = lo = carried = 0.0  # carried: sum of the weighted term errs

@@ -232,9 +232,9 @@ def law_tally(kind: str, n: int, trials: int, stream: SeededStream) -> np.ndarra
     _check_bound(f"{kind} law tally", n, trials, n + 1)
     if kind == "pass":
         values = n - sample_pass_counts(n, trials, stream)
-        return np.bincount(values, minlength=n)
-    values = sample_collision_counts(n, trials, stream) - 1
-    return np.bincount(values, minlength=n + 1)
+    else:
+        values = sample_collision_counts(n, trials, stream) - 1
+    return np.bincount(values, minlength=exact.LATTICES[kind][1] + n)
 
 
 def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummary:

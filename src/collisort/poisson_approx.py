@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PoissonLaw, poisson_pmf_vector
-from .sorters import ResourceBoundError
+from .sorters import ENUM_BIRTHDAY_LIMIT, ResourceBoundError
 
-ENUM_BIRTHDAY_N = 6
+ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # both walk the space {0..n-1}^(m+1)
 ENUM_INVERSION_N = 8
 
 
@@ -114,37 +114,44 @@ def inversion_family(n: int, m: int) -> DissociatedFamily:
     return DissociatedFamily(tuple(range(n, n - m - 1, -1)), f"inversion(n={n}, m={m})")
 
 
-MATCH_FAMILIES = {"birthday": birthday_family, "inversion": inversion_family}
+# each match kind: its family and the largest n that `match_count_law` enumerates
+MATCH_FAMILIES = {"birthday": (birthday_family, ENUM_BIRTHDAY_N),
+                  "inversion": (inversion_family, ENUM_INVERSION_N)}
+
+
+def _match_kind(kind: str) -> tuple:
+    if kind not in MATCH_FAMILIES:
+        raise ValueError(f"unknown kind {kind!r}")
+    return MATCH_FAMILIES[kind]
 
 
 def match_family(kind: str, n: int, m: int) -> DissociatedFamily:
     """The family of a match kind: "birthday" draws or "inversion" table entries."""
-    if kind not in MATCH_FAMILIES:
-        raise ValueError(f"unknown kind {kind!r}")
-    return MATCH_FAMILIES[kind](n, m)
+    return _match_kind(kind)[0](n, m)
 
 
 def stein_chen_bound(family: DissociatedFamily) -> SteinChenReport:
     """Assemble the computable total-variation bound for the family.
 
-    The overlapping cross-mean sum is evaluated through the rearrangement
-    sum_i (row sum_i)^2 - 2 sum (E D)^2, which is O(|T|^2); the direct
-    double loop over overlapping pairs is kept in the tests as an oracle.
+    Supports never increase, so for i < j the pair {i, j} has mean 1/s_i:
+    entry i's row sum is sum_(j<i) 1/s_j + (t-1-i)/s_i, and one pass over the
+    supports gives mu, sum (E D)^2 and the overlapping cross-mean sum
+    sum_i (row sum_i)^2 - 2 sum (E D)^2.  The direct double loop over
+    overlapping pairs is kept as an oracle (`cross_means_direct`).
     """
-    pairs = family.pairs()
-    if not pairs:
-        return SteinChenReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     t = family.base_set_size
-    mu = 0.0
-    sq = 0.0
-    row = [0.0] * (t + 1)
-    for i, j in pairs:
-        e = family.pair_mean(i, j)
-        mu += e
-        sq += e * e
-        row[i] += e
-        row[j] += e
-    cross = sum(r * r for r in row) - 2.0 * sq
+    if t < 2:
+        return SteinChenReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    mu = sq = rows_sq = running = 0.0  # running: sum of 1/s_j for j < i
+    for i, size in enumerate(family.supports):
+        inv = 1.0 / size
+        later = (t - 1 - i) * inv  # the pairs {i, j}, j > i, each of mean 1/s_i
+        mu += later
+        sq += later * inv
+        row = running + later
+        rows_sq += row * row
+        running += inv
+    cross = rows_sq - 2.0 * sq
     triple = family.triple_sum()
     factor = -math.expm1(-mu) / mu
     tv_bound = factor * (sq + cross + triple)
@@ -202,9 +209,9 @@ def poisson_limit_functionals(family: DissociatedFamily) -> tuple[float, float]:
     sum (E D)^2 >= mu^2 / |S|.
     """
     report = stein_chen_bound(family)
-    pairs = family.pairs()
-    if pairs:
-        lower = report.mu ** 2 / len(pairs)
+    t = family.base_set_size
+    if t >= 2:
+        lower = report.mu ** 2 / (t * (t - 1) // 2)
         if report.squared_means_sum < lower * (1.0 - 1e-12):
             raise AssertionError(
                 "Cauchy-Schwarz violated: sum of squared means "
@@ -235,14 +242,12 @@ def _mixed_radix_states(radices: tuple[int, ...]) -> np.ndarray:
 
 def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
     """Exact law of the pairwise match count by full enumeration."""
-    limit = {"birthday": ENUM_BIRTHDAY_N, "inversion": ENUM_INVERSION_N}.get(kind)
-    if limit is None:
-        raise ValueError(f"unknown kind {kind!r}")
+    family, limit = _match_kind(kind)
     if not 1 <= n <= limit:
         raise ResourceBoundError(f"{kind} enumeration bounded at n <= {limit}")
     if m > n:
         raise ValueError("need m <= n")
-    states = _mixed_radix_states(match_family(kind, n, m).supports)
+    states = _mixed_radix_states(family(n, m).supports)
     total = states.shape[0]
     counts = np.zeros(total, dtype=np.int64)
     cols = states.shape[1]

@@ -90,6 +90,43 @@ def test_expansion_at_zero():
     assert scaled_pass_survival_expansion(10**4, 0.0) == 1.0
 
 
+# the lattice rule's messages, pinned: pass values run 0..n-1, collision
+# values 1..n, each law's range read from `exact.LATTICES`
+LATTICE_ERRORS = [
+    ("pass", 100, 0.15, "x*sqrt(n) = 1.5 is not an integer lattice point"),
+    ("pass", 100, 10.0, "lattice index x*sqrt(n) = 100 outside 0..99"),
+    ("pass", 100, -0.1, "lattice index x*sqrt(n) = -1 outside 0..99"),
+    ("pass", 4, 2.0, "lattice index x*sqrt(n) = 4 outside 0..3"),
+    ("pass", 1, 1.0, "lattice index x*sqrt(n) = 1 outside 0..0"),
+    ("collision", 100, 0.15, "x*sqrt(n) = 1.5 is not an integer lattice point"),
+    ("collision", 100, 10.1, "lattice index x*sqrt(n) = 101 outside 1..100"),
+    ("collision", 4, 0.0, "lattice index x*sqrt(n) = 0 outside 1..4"),
+    ("collision", 1, 0.0, "lattice index x*sqrt(n) = 0 outside 1..1"),
+]
+LATTICE_FUNCTIONS = {
+    "pass": (scaled_pass_survival, scaled_pass_cdf_approx, scaled_pass_pmf_approx),
+    "collision": (scaled_collision_cdf_approx, scaled_collision_pmf_approx),
+}
+
+
+@pytest.mark.parametrize("kind, n, x, message", LATTICE_ERRORS)
+def test_lattice_errors_unchanged(kind, n, x, message):
+    for fn in LATTICE_FUNCTIONS[kind]:
+        with pytest.raises(ValueError) as info:
+            fn(n, x)
+        assert str(info.value) == f"{fn.__name__}: {message}"
+
+
+def test_lattice_ends_are_accepted():
+    for n in (1, 4, 100):
+        for fn in LATTICE_FUNCTIONS["pass"][:2]:  # the pmf is singular at x = 0
+            fn(n, 0.0)
+            fn(n, (n - 1) / math.sqrt(n))
+        for fn in LATTICE_FUNCTIONS["collision"]:
+            fn(n, 1 / math.sqrt(n))
+            fn(n, n / math.sqrt(n))
+
+
 def test_expansion_near_exact_at_lattice():
     got = scaled_pass_survival_expansion(10**4, 1.0)
     ref = float(scaled_pass_survival(10**4, 1.0))  # 100 is an exact lattice index

@@ -423,3 +423,87 @@ def test_delta_tv_is_a_distance_at_a_large_poisson_mean(capsys):
                            "--m", "999", "--trials", "1000")
     assert code == EXIT_OK
     assert 0.0 <= json.loads(out)["rows"][0]["tv_distance"] <= 1.0
+
+
+# (value, exact) of each row of `approx cdf`/`pmf`, pass side then collision
+# side, pinned: the lattice value of each point comes from `_lattice_index`
+PINNED_APPROX = {
+    "approx cdf --n 4 --x 0.5 --z 1.0": [
+        (0.405974679446365, 0.6666666666666667),
+        (0.5654017914929218, 0.625),
+    ],
+    "approx cdf --n 100 --x 1.0 --z 1.0": [
+        (0.4950689195281103, 0.5091150707485512),
+        (0.4325863312029963, 0.43465914140023476),
+    ],
+    "approx cdf --n 100 --x 2.5 --z 0.1": [
+        (0.9820619896326762, 0.9858885539747445),
+        (0.009966666943888258, 0.010000000000000009),
+    ],
+    "approx cdf --n 100 --x 9.9 --z 10.0": [
+        (1.0, 1.0),
+        (1.0, 1.0),
+    ],
+    "approx cdf --n 10000 --x 1.0 --z 1.0": [
+        (0.4044877582679458, 0.404638297192068),
+        (0.39749942946195704, 0.39751969469229476),
+    ],
+    "approx cdf --n 10000 --x 0.37 --z 2.0": [
+        (0.07148509294649885, 0.07159481240434651),
+        (0.8677859836468516, 0.8678172457493822),
+    ],
+    "approx pmf --n 4 --x 0.5 --z 1.0": [
+        (0.5873539295367791, 0.4166666666666667),
+        (0.3582656552868946, 0.375),
+    ],
+    "approx pmf --n 100 --x 1.0 --z 1.0": [
+        (0.06483443410015097, 0.06419717973894917),
+        (0.06270890852730561, 0.06281565095552943),
+    ],
+    "approx pmf --n 100 --x 2.5 --z 0.1": [
+        (0.006791199511626436, 0.005893604572262812),
+        (0.009999833334722215, 0.010000000000000009),
+    ],
+    "approx pmf --n 100 --x 9.9 --z 10.0": [
+        (4.6870998486584406e-36, 1.071510288125467e-158),
+        (1.8373072160413474e-29, 9.332621544394415e-43),
+    ],
+    "approx pmf --n 10000 --x 1.0 --z 1.0": [
+        (0.006105877059052739, 0.006105290665693097),
+        (0.0060855580194025686, 0.00608565964957275),
+    ],
+    "approx pmf --n 10000 --x 0.37 --z 2.0": [
+        (0.003549266645248952, 0.003547981525979127),
+        (0.002697698333076027, 0.0026976072296044373),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_APPROX))
+def test_approx_cdf_pmf_grid_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    t = argv.split()[1]
+    assert [r["target"] for r in rows] == [f"scaled-pass-{t}", f"scaled-collision-{t}"]
+    assert [(r["value"], r["exact"]) for r in rows] == PINNED_APPROX[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    "exact moments --n 100 --k 9",
+    "approx moments --n 100 --k 9",
+    "exact moments --n 100 --k -1",
+    "approx moments --n 100 --k -1",
+])
+def test_moment_order_limit_message_unchanged(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == '{"error": "moment order supported for 0 <= k <= 8", "kind": "usage"}\n'
+
+
+def test_simulate_kind_choices_are_both_kind_lists():
+    # the literal keeps `simulate --help` from importing numpy; it must stay
+    # the law kinds followed by the match kinds
+    simulate = cli.build_parser()._subparsers._group_actions[0].choices["simulate"]
+    kind = next(a for a in simulate._actions if a.dest == "kind")
+    assert tuple(kind.choices) == (*montecarlo.LAW_KINDS, *montecarlo.MATCH_KINDS)

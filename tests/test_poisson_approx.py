@@ -1,11 +1,15 @@
 """Stein-Chen bound machinery against enumeration and direct-summation oracles."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from collisort import sorters
 from collisort.poisson_approx import (
+    ENUM_BIRTHDAY_N,
+    ENUM_INVERSION_N,
     DissociatedFamily,
     birthday_family,
     cross_means_direct,
@@ -125,9 +129,27 @@ def test_bound_matches_direct_oracle_inversion():
 
 
 def test_cross_means_rearrangement_identity():
-    for fam in (birthday_family(50, 8), inversion_family(40, 7), birthday_family(7, 4)):
+    families = [birthday_family(7, 4)]
+    families += [family(n, t - 1) for t in range(1, 41)
+                 for family, n in ((birthday_family, 50), (inversion_family, 40))]
+    for fam in families:
         report = stein_chen_bound(fam)
         assert report.cross_means_sum == pytest.approx(cross_means_direct(fam), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, n, m", [
+    ("birthday", 2, 1), ("birthday", 365, 22), ("birthday", 1000, 1000),
+    ("birthday", 10**4, 100), ("birthday", 10**4, 2000),
+    ("inversion", 2, 1), ("inversion", 365, 22), ("inversion", 1000, 999),
+    ("inversion", 2000, 1000), ("inversion", 2000, 1999),
+])
+def test_mu_within_32_ulp_of_fraction_sum(kind, n, m):
+    # mu = sum_i (t-1-i)/s_i: the pairs {i, j}, j > i, each have mean 1/s_i
+    supports = match_family(kind, n, m).supports
+    t = len(supports)
+    exact = sum(Fraction(t - 1 - i, s) for i, s in enumerate(supports))
+    mu = stein_chen_bound(match_family(kind, n, m)).mu
+    assert abs(Fraction(mu) - exact) <= 32 * Fraction(math.ulp(float(exact)))
 
 
 def test_bound_shrinks_with_year_length():
@@ -238,6 +260,18 @@ def test_tv_resource_bounds():
         match_count_law("birthday", 7, 3)
     with pytest.raises(ResourceBoundError):
         match_count_law("inversion", 9, 4)
+
+
+def test_enumeration_limits_have_one_owner():
+    # the birthday match law and the birthday survival oracle walk the same space
+    assert ENUM_BIRTHDAY_N == sorters.ENUM_BIRTHDAY_LIMIT
+    for kind, limit in (("birthday", ENUM_BIRTHDAY_N), ("inversion", ENUM_INVERSION_N)):
+        match_count_law(kind, limit, 2)
+        message = f"^{kind} enumeration bounded at n <= {limit}$"
+        with pytest.raises(ResourceBoundError, match=message):
+            match_count_law(kind, limit + 1, 2)
+    with pytest.raises(ValueError, match="^unknown kind 'x'$"):
+        match_count_law("x", 3, 1)
 
 
 def test_match_count_law_is_probability():
