@@ -295,8 +295,8 @@ def euler_maclaurin_residual(n: int, epsilon: float) -> float:
     m_cut = min(int(math.floor(n ** epsilon * sq)), n - 1)
     cut = m_cut / sq
 
-    lattice_sum = hp(0.0)
-    for m, rho in pass_survival_sequence(n, floor=0.0):
+    lattice_sum = hp(0.0)  # terms past the walk's floor lie below the sum's last bit
+    for m, rho in pass_survival_sequence(n):
         if m > m_cut:
             break
         lattice_sum = lattice_sum + rho

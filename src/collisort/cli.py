@@ -210,6 +210,9 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
 
     if args.seed is None:
         args.seed = montecarlo.DEFAULT_SEED
+    for option, value in (("--seed", args.seed), ("--stream-id", args.stream_id)):
+        if value < 0:
+            raise ValueError(f"{option} must be >= 0, got {value}")
     stream = montecarlo.SeededStream(args.seed, args.stream_id)
     code = EXIT_OK
     rows: list[dict] = []
@@ -285,8 +288,11 @@ def emit_rows(rows: list[dict], fmt: str, path: str | None) -> None:
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"--output-path {path!r}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -384,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = secrets.randbits(63)
     try:
         rows, code = _DISPATCH[args.command](args)
+        emit_rows(rows, args.output, args.output_path)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
@@ -398,7 +405,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}),
               file=sys.stderr)
         return EXIT_INTERNAL
-    emit_rows(rows, args.output, args.output_path)
     return code
 
 

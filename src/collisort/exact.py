@@ -25,7 +25,7 @@ from functools import lru_cache
 from .hpreal import _TINY, _UNDERFLOW_FLOOR, HPReal, _dd_add, _dd_div, _dd_mul, _dd_pow, hp
 from .powersums import MAX_ORDER, power_sum
 
-SURVIVAL_FLOOR = 1e-40  # truncation threshold for moment sums
+SURVIVAL_FLOOR = 1e-40  # every survival walk stops after its first term below this
 _MAX_MOMENT_ORDER = 8  # highest moment order, exact and asymptotic
 
 
@@ -273,19 +273,19 @@ _ADD, _MUL, _DIV = 4, 7, 2
 _U2 = 2.0 ** -106 * (1.0 + 2.0 ** -39)
 
 
-def _survival_walk(n: float, floor: float, factor):
+def _survival_walk(n: float, factor):
     """Yield (m, S_m) for m = 0, 1, ... while m < n, S_0 = 1 and S_(m+1) =
     S_m * factor(m), a positive (hi, lo) and its count, stopping after the
-    first term below ``floor``.  err is value * gamma_K plus HPReal's absolute
-    allowance, carried as its multiplication carries it.  n < 2^53 keeps
-    every input exact."""
+    first term below SURVIVAL_FLOOR.  err is value * gamma_K plus HPReal's
+    absolute allowance, carried as its multiplication carries it.  n < 2^53
+    keeps every input exact."""
     if not n < 2.0 ** 53:
         raise ValueError(f"survival sequences need n < 2^53, got n={n}")
     hi, lo, units, tiny = 1.0, 0.0, 0, 0.0
     m = 0
     while m < n:
         yield m, HPReal(hi, lo, hi * units * _U2 + tiny)
-        if hi < floor:
+        if hi < SURVIVAL_FLOOR:
             return
         fhi, flo, f_units = factor(m)
         nonzero = hi != 0.0 and fhi != 0.0
@@ -297,8 +297,8 @@ def _survival_walk(n: float, floor: float, factor):
         m += 1
 
 
-def pass_survival_sequence(n: int, floor: float = SURVIVAL_FLOOR):
-    """Yield (m, P{P_n <= n-m}) for m = 0, 1, ... until below ``floor``.
+def pass_survival_sequence(n: int):
+    """Yield (m, P{P_n <= n-m}) for m = 0, 1, ... until below SURVIVAL_FLOOR.
 
     Uses the exact ratio ((n-m-1)/(n-m))^(m+1) between consecutive m: one
     double-double division and at most 2 log2(m+1) multiplications per step,
@@ -308,11 +308,11 @@ def pass_survival_sequence(n: int, floor: float = SURVIVAL_FLOOR):
         hi, lo = _dd_pow(*_dd_div(float(n - m - 1), 0.0, float(n - m), 0.0), m + 1)
         return hi, lo, (m + 1) * (_DIV + _MUL) - _MUL
 
-    return _survival_walk(n, floor, factor)
+    return _survival_walk(n, factor)
 
 
-def collision_survival_sequence(n: float, floor: float = SURVIVAL_FLOOR):
-    """Yield (m, P{C_n > m+1}) for m = 0, 1, ... until below ``floor``.
+def collision_survival_sequence(n: float):
+    """Yield (m, P{C_n > m+1}) for m = 0, 1, ... until below SURVIVAL_FLOOR.
 
     Each value is the falling product prod_{k=1..m} (1 - k/n), one factor
     (n-k)/n per step.  n may be any real year length: for float n < 2^53
@@ -321,7 +321,7 @@ def collision_survival_sequence(n: float, floor: float = SURVIVAL_FLOOR):
     def factor(m):
         return (*_dd_div(float(n - m - 1), 0.0, float(n), 0.0), _DIV)
 
-    return _survival_walk(n, floor, factor)
+    return _survival_walk(n, factor)
 
 
 # lattice of each scaled statistic: its survival sequence yields

@@ -40,51 +40,11 @@ class DissociatedFamily:
     """
 
     supports: tuple[int, ...]
-    label: str = ""
 
     def __post_init__(self):
         s = self.supports
         if any(size < 1 for size in s) or any(a < b for a, b in zip(s, s[1:])):
             raise ValueError(f"supports must be positive and non-increasing, got {s}")
-
-    @property
-    def base_set_size(self) -> int:
-        return len(self.supports)
-
-    def _support(self, i: int) -> int:
-        if not 1 <= i <= len(self.supports):
-            raise ValueError(f"index {i} outside 1..{len(self.supports)}")
-        return self.supports[i - 1]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        t = self.base_set_size
-        return [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
-
-    def pair_mean(self, i: int, j: int) -> float:
-        """E of the {i,j} indicator."""
-        return 1.0 / max(self._support(i), self._support(j))
-
-    def triple_mean(self, i: int, j: int, k: int) -> float:
-        """E of the product of the {i,j} and {i,k} indicators, i, j, k distinct."""
-        a, b, _ = sorted((self._support(i), self._support(j), self._support(k)), reverse=True)
-        return 1.0 / (a * b)
-
-    def triple_sum(self) -> float:
-        """The ordered overlapping-triple sum in O(|T|).
-
-        For a < b < c the triple match has probability 1/(s_a s_b); the
-        ordered sum counts each unordered triple six times, and prefix sums
-        over 1/s_t give the sum over a < b for each c.
-        """
-        total = 0.0
-        running = 0.0  # sum of 1/s_t for t < c
-        running_sq = 0.0  # sum of 1/s_t^2 for t < c
-        for size in self.supports:
-            total += (running * running - running_sq) / 2.0
-            inv = 1.0 / size
-            running += inv
-            running_sq += inv * inv
-        return 6.0 * total
 
 
 @dataclass(frozen=True)
@@ -101,7 +61,7 @@ def birthday_family(n: int, m: int) -> DissociatedFamily:
     """Match indicators among the first m+1 uniform draws on n days."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return DissociatedFamily((n,) * (m + 1), f"birthday(n={n}, m={m})")
+    return DissociatedFamily((n,) * (m + 1))
 
 
 def inversion_family(n: int, m: int) -> DissociatedFamily:
@@ -111,7 +71,7 @@ def inversion_family(n: int, m: int) -> DissociatedFamily:
         raise ValueError("need n >= 1 and m >= 0")
     if m + 1 > n:
         raise ValueError(f"inversion family needs m+1 <= n, got m={m}, n={n}")
-    return DissociatedFamily(tuple(range(n, n - m - 1, -1)), f"inversion(n={n}, m={m})")
+    return DissociatedFamily(tuple(range(n, n - m - 1, -1)))
 
 
 # each match kind: its family and the largest n that `match_count_law` enumerates
@@ -136,14 +96,17 @@ def stein_chen_bound(family: DissociatedFamily) -> SteinChenReport:
     Supports never increase, so for i < j the pair {i, j} has mean 1/s_i:
     entry i's row sum is sum_(j<i) 1/s_j + (t-1-i)/s_i, and one pass over the
     supports gives mu, sum (E D)^2 and the overlapping cross-mean sum
-    sum_i (row sum_i)^2 - 2 sum (E D)^2.  The direct double loop over
-    overlapping pairs is kept as an oracle (`cross_means_direct`).
+    sum_i (row sum_i)^2 - 2 sum (E D)^2.  A triple a < b < c matches with
+    probability 1/(s_a s_b): at each c the pass adds half of (sum 1/s)^2 -
+    sum 1/s^2 over earlier entries, a sixth of the ordered triple sum.  The
+    literal loops over pairs and triples are test oracles (`tests/oracles.py`).
     """
-    t = family.base_set_size
+    t = len(family.supports)
     if t < 2:
         return SteinChenReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    mu = sq = rows_sq = running = 0.0  # running: sum of 1/s_j for j < i
+    mu = sq = rows_sq = running = running_sq = triples = 0.0  # running: sum of 1/s_j, j < i
     for i, size in enumerate(family.supports):
+        triples += (running * running - running_sq) / 2.0
         inv = 1.0 / size
         later = (t - 1 - i) * inv  # the pairs {i, j}, j > i, each of mean 1/s_i
         mu += later
@@ -151,54 +114,12 @@ def stein_chen_bound(family: DissociatedFamily) -> SteinChenReport:
         row = running + later
         rows_sq += row * row
         running += inv
+        running_sq += inv * inv
     cross = rows_sq - 2.0 * sq
-    triple = family.triple_sum()
+    triple = 6.0 * triples
     factor = -math.expm1(-mu) / mu
     tv_bound = factor * (sq + cross + triple)
     return SteinChenReport(mu, tv_bound, t * sq, triple, sq, cross)
-
-
-def ordered_triple_sum(family: DissociatedFamily) -> float:
-    """The ordered overlapping-triple sum by the literal O(|T|^3) loop.
-
-    Serves as the oracle for ``triple_sum``; also validates each triple
-    mean against its pair-mean cap.
-    """
-    t = family.base_set_size
-    means = {(i, j): family.pair_mean(i, j) for i, j in family.pairs()}
-    triple = 0.0
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            if j == i:
-                continue
-            for k in range(1, t + 1):
-                if k == i or k == j:
-                    continue
-                e = family.triple_mean(i, j, k)
-                cap = min(
-                    means[(min(i, j), max(i, j))], means[(min(i, k), max(i, k))]
-                )
-                if not 0.0 <= e <= cap * (1.0 + 1e-12):
-                    raise ValueError(
-                        f"triple mean {e} at ({i},{j},{k}) exceeds pair mean cap {cap}"
-                    )
-                triple += e
-    return triple
-
-
-def cross_means_direct(family: DissociatedFamily) -> float:
-    """Oracle: sum of E(D) E(D') over distinct overlapping family pairs."""
-    pairs = family.pairs()
-    total = 0.0
-    for a, (i, j) in enumerate(pairs):
-        e1 = family.pair_mean(i, j)
-        for b, (l, r) in enumerate(pairs):
-            if a == b:
-                continue
-            if len({i, j} & {l, r}) == 0:
-                continue
-            total += e1 * family.pair_mean(l, r)
-    return total
 
 
 def poisson_limit_functionals(family: DissociatedFamily) -> tuple[float, float]:
@@ -209,7 +130,7 @@ def poisson_limit_functionals(family: DissociatedFamily) -> tuple[float, float]:
     sum (E D)^2 >= mu^2 / |S|.
     """
     report = stein_chen_bound(family)
-    t = family.base_set_size
+    t = len(family.supports)
     if t >= 2:
         lower = report.mu ** 2 / (t * (t - 1) // 2)
         if report.squared_means_sum < lower * (1.0 - 1e-12):

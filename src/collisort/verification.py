@@ -43,10 +43,6 @@ def _check(claim_id: str, ok: bool, observed, expected, detail: str = "") -> Cla
 # headline reproductions
 # ---------------------------------------------------------------------------
 
-PRINTED_MEAN_APPROX_1E4 = 1.23670494307065
-PRINTED_SECOND_APPROX_1E4 = 1.950365345354
-PRINTED_VARIANCE_APPROX_1E4 = 0.4209262291679
-
 # (claim, value function and its arguments, printed value, tolerance kind and
 # size, digits shown); N1E4-STATS checks three values at once and stands apart
 _PAPER_VALUES = (
@@ -67,18 +63,15 @@ def suite_paper_values() -> list[ClaimResult]:
         out.append(_check(claim_id, abs(v - printed) <= limit, f"{v:.{digits}f}", printed,
                           f"{kind} tol {tol}"))
     stats = asymptotics.scaled_pass_stats_approx(10**4)
-    ok = (
-        abs(stats.mean_approx - PRINTED_MEAN_APPROX_1E4) <= 1e-12 * PRINTED_MEAN_APPROX_1E4
-        and abs(stats.second_moment_approx - PRINTED_SECOND_APPROX_1E4)
-        <= 1e-12 * PRINTED_SECOND_APPROX_1E4
-        and abs(stats.variance_approx - PRINTED_VARIANCE_APPROX_1E4)
-        <= 1e-12 * PRINTED_VARIANCE_APPROX_1E4
-    )
+    # (expansion value, printed value, digits shown) of mean, second moment, variance
+    values = ((stats.mean_approx, 1.23670494307065, 14),
+              (stats.second_moment_approx, 1.950365345354, 12),
+              (stats.variance_approx, 0.4209262291679, 13))
     out.append(_check(
         "N1E4-STATS",
-        ok,
-        f"({stats.mean_approx:.14f}, {stats.second_moment_approx:.12f}, {stats.variance_approx:.13f})",
-        f"({PRINTED_MEAN_APPROX_1E4}, {PRINTED_SECOND_APPROX_1E4}, {PRINTED_VARIANCE_APPROX_1E4})",
+        all(abs(v - printed) <= 1e-12 * printed for v, printed, _ in values),
+        "(" + ", ".join(f"{v:.{digits}f}" for v, _, digits in values) + ")",
+        "(" + ", ".join(str(printed) for _, printed, _ in values) + ")",
         "rel tol 1e-12 each",
     ))
     return out

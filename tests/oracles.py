@@ -7,6 +7,7 @@ no code path with the package's double-double evaluations and samplers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -84,3 +85,59 @@ def pair_match_counts_by_columns(draws):
         for b in range(a + 1, cols):
             matches += draws[:, a] == draws[:, b]
     return matches
+
+
+# -- match indicators among independent uniforms on nested supports ----------
+# supports[i - 1] is the support size of entry i (1-based), non-increasing
+
+
+def family_pairs(supports) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i < j, of the family."""
+    t = len(supports)
+    return [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
+
+
+def pair_mean(supports, i: int, j: int) -> float:
+    """E of the {i, j} match indicator: 1/max(s_i, s_j)."""
+    return 1.0 / max(supports[i - 1], supports[j - 1])
+
+
+def triple_mean(supports, i: int, j: int, k: int) -> float:
+    """E of the product of the {i, j} and {i, k} indicators, i, j, k distinct:
+    1/(a b) for a >= b the two larger supports."""
+    a, b, _ = sorted((supports[i - 1], supports[j - 1], supports[k - 1]), reverse=True)
+    return 1.0 / (a * b)
+
+
+def ordered_triple_sum(supports) -> float:
+    """The ordered overlapping-triple sum by the literal O(t^3) loop; also
+    checks each triple mean against its pair-mean cap."""
+    t = len(supports)
+    triple = 0.0
+    for i in range(1, t + 1):
+        for j in range(1, t + 1):
+            if j == i:
+                continue
+            for k in range(1, t + 1):
+                if k == i or k == j:
+                    continue
+                e = triple_mean(supports, i, j, k)
+                cap = min(pair_mean(supports, i, j), pair_mean(supports, i, k))
+                if not 0.0 <= e <= cap * (1.0 + 1e-12):
+                    raise ValueError(
+                        f"triple mean {e} at ({i},{j},{k}) exceeds pair mean cap {cap}"
+                    )
+                triple += e
+    return triple
+
+
+def cross_means_direct(supports) -> float:
+    """Sum of E(D) E(D') over ordered distinct overlapping pairs by the literal
+    O(t^4) loop, each product added exactly (math.fsum)."""
+    pairs = family_pairs(supports)
+    return math.fsum(
+        pair_mean(supports, i, j) * pair_mean(supports, l, r)
+        for a, (i, j) in enumerate(pairs)
+        for b, (l, r) in enumerate(pairs)
+        if a != b and {i, j} & {l, r}
+    )

@@ -109,6 +109,15 @@ def test_output_path(tmp_path, capsys):
     assert payload["rows"][0]["n"] == 10
 
 
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "rows.json"):
+        code, out, err = run_cli(capsys, "exact", "pass-cdf", "--n", "5", "--m", "1",
+                                 "--output-path", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        payload = json.loads(err)
+        assert payload["kind"] == "usage" and "--output-path" in payload["error"]
+
+
 def test_simulate_law_deterministic(capsys):
     args = ("simulate", "law", "--kind", "pass", "--n", "400", "--trials", "2000",
             "--seed", "42")
@@ -256,10 +265,13 @@ def _boundary_argvs():
             ("-1", "0", "1", "2"), ("-1", "0", "1", "1000")):
         for m in ("-1", "0", "1", "2") if target == "delta" else ("0",):
             yield ("simulate", target, "--kind", kind, "--n", n, "--m", m, "--trials", trials)
+    for option, value in itertools.product(("--seed", "--stream-id"), ("-1", "-5")):
+        yield ("simulate", "law", "--n", "10", "--trials", "1000", option, value)
 
 
 # a usage message names the argument at fault, as --name or as a bare name
-_NAMES_ARGUMENT = re.compile(r"(?<![\w'])(n|m|k|x|z|t|epsilon|depth|trials|kind)(?![\w'])")
+_NAMES_ARGUMENT = re.compile(
+    r"(?<![\w'])(n|m|k|x|z|t|epsilon|depth|trials|kind|seed|stream-id)(?![\w'])")
 
 
 def test_boundary_argv_never_crash(capsys):

@@ -454,30 +454,29 @@ def test_small_n_moments_within_err(kind, n, k):
 
 
 @settings(deadline=None, max_examples=40)
-@example(kind="pass", n=1, floor=0.0)
-@example(kind="pass", n=200, floor=0.0)
-@example(kind="collision", n=200, floor=0.0)
-@given(kind=st.sampled_from(("pass", "collision")), n=st.integers(min_value=1, max_value=200),
-       floor=st.sampled_from((SURVIVAL_FLOOR, 0.0)))
-def test_survival_terms_within_err_of_fraction(kind, n, floor):
-    # floor 0.0 walks to m = n - 1 as euler_maclaurin_residual does, past the
-    # double range at n = 200 (pass_cdf(200, 199) = 1/200!)
+@example(kind="pass", n=1)
+@example(kind="pass", n=200)
+@example(kind="collision", n=200)
+@given(kind=st.sampled_from(("pass", "collision")), n=st.integers(min_value=1, max_value=200))
+def test_survival_terms_within_err_of_fraction(kind, n):
     sequence, oracle = ((pass_survival_sequence, pass_cdf_fraction) if kind == "pass"
                         else (collision_survival_sequence, collision_sf_fraction))
-    terms = 0
-    for m, s in sequence(n, floor):
+    values = []
+    for m, s in sequence(n):
         assert abs(s.to_fraction() - oracle(n, m)) <= Fraction(s.err)
-        terms += 1
-    assert terms == n if floor == 0.0 else 1 <= terms <= n
+        values.append(s.hi)
+    # the walk stops at m = n - 1 or after its first term below the floor
+    assert 1 <= len(values) <= n and min(values[:-1], default=1.0) >= SURVIVAL_FLOOR
+    assert len(values) == n or values[-1] < SURVIVAL_FLOOR
 
 
 @settings(deadline=None)
-@example(year=365 - 21 / 3.0, floor=SURVIVAL_FLOOR)
-@example(year=150.25, floor=0.0)
-@given(year=st.floats(min_value=1.0, max_value=400.0), floor=st.sampled_from((SURVIVAL_FLOOR, 0.0)))
-def test_collision_terms_at_real_year_length_within_err(year, floor):
+@example(year=365 - 21 / 3.0)
+@example(year=150.25)
+@given(year=st.floats(min_value=1.0, max_value=400.0))
+def test_collision_terms_at_real_year_length_within_err(year):
     exact, y = Fraction(1), Fraction(year)
-    for m, s in collision_survival_sequence(year, floor):
+    for m, s in collision_survival_sequence(year):
         assert abs(s.to_fraction() - exact) <= Fraction(s.err)
         exact *= (y - m - 1) / y
 
