@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from collisort.asymptotics import expected_opcount_deltas  # noqa: E402
 from collisort.montecarlo import (  # noqa: E402
+    DEFAULT_SEED,
     SeededStream,
     empirical_opcounts,
     opcount_deviations,
@@ -26,7 +27,7 @@ def main() -> None:
     parser.add_argument("--n-grid", type=int, nargs="+",
                         default=[16, 64, 256, 1024, 4096, 10000])
     parser.add_argument("--trials", type=int, default=4000)
-    parser.add_argument("--seed", type=int, default=0x5EED_B0B5)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     print(f"{'n':>7}{'saved cmps':>14}{'flag cost':>16}{'variant cost':>14}"

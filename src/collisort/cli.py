@@ -19,8 +19,10 @@ quadrature.  Only `simulate` and the `verify` suites that the
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -292,9 +294,24 @@ def emit_rows(rows: list[dict], fmt: str, path: str | None) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise ValueError(f"--output-path {path!r}: {exc.strerror or exc}") from exc
+            raise _output_path_error(path, exc) from exc
     else:
         print(text)
+
+
+def _refuse_output_path(path: str) -> None:
+    """Before the command runs, refuse as open() would an --output-path that is
+    a directory or whose directory cannot be reached; touches no file."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(os.path.dirname(path.rstrip(os.sep)) or os.curdir)  # "new/" names new
+    except OSError as exc:
+        raise _output_path_error(path, exc) from exc
+
+
+def _output_path_error(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"--output-path {path!r}: {exc.strerror or exc}")
 
 
 def _csv_cell(value) -> str:
@@ -389,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
 
         args.seed = secrets.randbits(63)
     try:
+        if args.output_path:
+            _refuse_output_path(args.output_path)
         rows, code = _DISPATCH[args.command](args)
         emit_rows(rows, args.output, args.output_path)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

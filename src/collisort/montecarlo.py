@@ -16,7 +16,7 @@ import numpy as np
 
 from . import asymptotics, exact
 from .poisson_approx import MATCH_FAMILIES, match_family, stein_chen_bound, tv_distance_to_poisson
-from .sorters import ResourceBoundError, opcounts_from_stats
+from .sorters import VARIANTS, ResourceBoundError, opcounts_from_stats
 
 DEFAULT_SEED = 0x5EED_B0B5
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12
@@ -250,18 +250,15 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
     ks_ray = float(np.max(np.abs(ecdf - rayleigh_cdf)))
 
     mean, var = _mean_var(grid, counts / trials)  # grid: lattice values of the scaled statistic
+    return _summary(kind, n, None, trials, mean, var, ks_exact=ks_exact, ks_rayleigh=ks_ray)
+
+
+def _summary(kind: str, n: int, m: int | None, trials: int, mean: float, var: float,
+             **extra) -> EmpiricalSummary:
+    """The summary of ``trials`` samples; the mean's standard error is 0 for one trial."""
     se = math.sqrt(var / trials) if trials > 1 else 0.0
-    return EmpiricalSummary(
-        kind=kind,
-        n=n,
-        m=None,
-        sample_count=trials,
-        mean=mean,
-        variance=var,
-        se_mean=se,
-        ks_exact=ks_exact,
-        ks_rayleigh=ks_ray,
-    )
+    return EmpiricalSummary(kind=kind, n=n, m=m, sample_count=trials, mean=mean,
+                            variance=var, se_mean=se, **extra)
 
 
 def _mean_var(values: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
@@ -314,18 +311,7 @@ def empirical_pair_matches(
     mean, var = _mean_var(support, probs)
     tv = tv_distance_to_poisson({int(k): float(p) for k, p in zip(support, probs) if p}, mu)
     tv_se = 0.5 * math.sqrt(float(np.sum(probs * (1.0 - probs))) / trials)
-    return EmpiricalSummary(
-        kind=kind,
-        n=n,
-        m=m,
-        sample_count=trials,
-        mean=mean,
-        variance=var,
-        se_mean=math.sqrt(var / trials),
-        tv_distance=tv,
-        tv_se=tv_se,
-        reference_mu=mu,
-    )
+    return _summary(kind, n, m, trials, mean, var, tv_distance=tv, tv_se=tv_se, reference_mu=mu)
 
 
 def _pair_match_counts(draws: np.ndarray) -> np.ndarray:
@@ -378,31 +364,18 @@ def empirical_opcounts(
             if growing:
                 np.maximum(maxes, digit, out=maxes)
     passes = maxes + 1
-    plain = opcounts_from_stats(n, passes, sums, "plain")
-    early = opcounts_from_stats(n, passes, sums, "early_exit")
-    variant = opcounts_from_stats(n, passes, sums, "early_exit_variant")
-    reductions = (plain.comparisons - early.comparisons).astype(np.float64)
-    flags_opt = early.bool_assignments.astype(np.float64)
-    flags_var = variant.bool_assignments.astype(np.float64)
-
-    def summary(name: str, values: np.ndarray) -> EmpiricalSummary:
-        mean = float(values.mean())
-        var = float(values.var(ddof=1)) if trials > 1 else 0.0
-        return EmpiricalSummary(
-            kind=name,
-            n=n,
-            m=None,
-            sample_count=trials,
-            mean=mean,
-            variance=var,
-            se_mean=math.sqrt(var / trials) if trials > 1 else 0.0,
-        )
-
-    return {
-        "comparison_reduction": summary("comparison_reduction", reductions),
-        "flag_writes_early_exit": summary("flag_writes_early_exit", flags_opt),
-        "flag_writes_variant": summary("flag_writes_variant", flags_var),
+    plain, early, variant = (opcounts_from_stats(n, passes, sums, v) for v in VARIANTS)
+    counters = {
+        "comparison_reduction": plain.comparisons - early.comparisons,
+        "flag_writes_early_exit": early.bool_assignments,
+        "flag_writes_variant": variant.bool_assignments,
     }
+    out = {}
+    for name, counts in counters.items():
+        values = counts.astype(np.float64)
+        var = float(values.var(ddof=1)) if trials > 1 else 0.0
+        out[name] = _summary(name, n, None, trials, float(values.mean()), var)
+    return out
 
 
 # ---------------------------------------------------------------------------

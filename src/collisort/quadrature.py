@@ -12,6 +12,14 @@ import math
 from typing import Callable
 
 
+def _legendre(k: int, x: float) -> tuple[float, float]:
+    """P_k(x) and P_k'(x), by the three-term recurrence."""
+    p0, p1 = 1.0, x
+    for j in range(2, k + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, k * (x * p1 - p0) / (x * x - 1.0)
+
+
 def gauss_legendre(k: int) -> tuple[list[float], list[float]]:
     """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1]."""
     nodes: list[float] = []
@@ -20,18 +28,12 @@ def gauss_legendre(k: int) -> tuple[list[float], list[float]]:
         # Tricomi initial guess, then Newton on P_k
         x = math.cos(math.pi * (i - 0.25) / (k + 0.5))
         for _ in range(60):
-            p0, p1 = 1.0, x
-            for j in range(2, k + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = k * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
+            p, dp = _legendre(k, x)
+            dx = p / dp
             x -= dx
             if abs(dx) < 1e-16:
                 break
-        p0, p1 = 1.0, x
-        for j in range(2, k + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = k * (x * p1 - p0) / (x * x - 1.0)
+        dp = _legendre(k, x)[1]
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
     return nodes, weights

@@ -13,12 +13,15 @@ boolean assignment and so does each flag set; comparisons count one per
 adjacent pair inspected; swaps count element exchanges.
 
 The scalar functions (``bubble_sort_instrumented``, ``pass_count``,
-``inversion_table``) are the reference.  Their batch forms ``sort_rows``
-and ``inversion_tables`` take a 2-D integer array with one permutation per
-row and step every row in lockstep, one column pair at a time in the scalar
-pass and pair order; the early-exit ``sort_rows`` gives the batch pass
-counts in its ``passes``.  They import numpy when called and return arrays
-of the smallest signed integer types that hold their values.
+``inversion_table``) are the reference.  Their passes are one loop,
+``_bubble_pass``, and the sorts count per pass, from its length and swaps.
+The batch forms ``sort_rows`` and ``inversion_tables`` take a 2-D integer
+array with one permutation per row and step every row in lockstep, one
+column pair at a time in the scalar pass and pair order; ``sort_rows``
+counts per comparison through per-row masks, a count independent of the
+scalar one, and its early-exit form gives the batch pass counts in its
+``passes``.  They import numpy when called and return arrays of the
+smallest signed integer types that hold their values.
 """
 
 from __future__ import annotations
@@ -63,14 +66,20 @@ def _any(flags) -> bool:
     return flags if flags.__class__ is bool else bool(flags.any())
 
 
+def _int_entries(seq: Iterable[int], what: str) -> tuple[int, ...]:
+    """seq as a tuple, refused unless nonempty with int (not bool) entries."""
+    t = tuple(seq)
+    if not t:
+        raise ValueError(f"{what} must be nonempty")
+    if any(v.__class__ is bool or not isinstance(v, int) for v in t):
+        raise ValueError(f"{what} entries must be ints: {t!r}")
+    return t
+
+
 def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:
     """Validate that seq is a permutation of 1..n and return it as a tuple."""
-    p = tuple(seq)
+    p = _int_entries(seq, "permutation")
     n = len(p)
-    if n == 0:
-        raise ValueError("permutation must be nonempty")
-    if any(v.__class__ is bool or not isinstance(v, int) for v in p):
-        raise ValueError(f"permutation entries must be ints: {p!r}")
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {p!r}")
     return p
@@ -81,6 +90,18 @@ def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _bubble_pass(p: list[int], end: int) -> int:
+    """One pass of ``end`` comparisons: for j < end, swap p[j] and p[j + 1]
+    in place when p[j] > p[j + 1].  Returns the number of swaps."""
+    swaps = 0
+    for j in range(end):
+        a, b = p[j], p[j + 1]
+        if a > b:
+            p[j], p[j + 1] = b, a
+            swaps += 1
+    return swaps
+
+
 def pass_trace(seq: Sequence[int]) -> list[tuple[int, ...]]:
     """States after each pass, starting with the input (pass 0).
 
@@ -89,15 +110,11 @@ def pass_trace(seq: Sequence[int]) -> list[tuple[int, ...]]:
     """
     p = list(check_permutation(seq))
     n = len(p)
-    target = tuple(range(1, n + 1))
+    target = list(range(1, n + 1))
     trace = [tuple(p)]
-    i = 1
-    while trace[-1] != target:
-        for j in range(n - i):
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
+    while p != target:
+        _bubble_pass(p, n - len(trace))  # pass i = len(trace) spans n - i pairs
         trace.append(tuple(p))
-        i += 1
     return trace
 
 
@@ -119,12 +136,8 @@ def inversion_table(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_inversion_table(table: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(table)
+    t = _int_entries(table, "inversion table")
     n = len(t)
-    if n == 0:
-        raise ValueError("inversion table must be nonempty")
-    if any(v.__class__ is bool or not isinstance(v, int) for v in t):
-        raise ValueError(f"inversion table entries must be ints: {t!r}")
     for i, v in enumerate(t, start=1):
         if not 0 <= v <= n - i:
             raise ValueError(f"entry {i} = {v} outside 0..{n - i}")
@@ -158,76 +171,29 @@ def equal_pair_count(values: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sort_plain(p: list[int]) -> OpCounts:
-    n = len(p)
-    comparisons = swaps = 0
-    for i in range(1, n + 1):
-        for j in range(n - i):
-            comparisons += 1
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                swaps += 1
-    return OpCounts(comparisons, swaps, 0, n)
-
-
-def _sort_early_exit(p: list[int]) -> OpCounts:
+def _sort(p: list[int], variant: str) -> tuple[tuple[int, ...], OpCounts]:
+    """Sort p in place; return it as a tuple and its counts, added per pass: an
+    early-exit pass resets its flag, then sets it per swap or (variant) once."""
     n = len(p)
     comparisons = swaps = bools = 0
     for i in range(1, n + 1):
-        swapped = False
-        bools += 1
-        for j in range(n - i):
-            comparisons += 1
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                swaps += 1
-                swapped = True
-                bools += 1
-        if not swapped:
-            return OpCounts(comparisons, swaps, bools, i)
-    return OpCounts(comparisons, swaps, bools, n)
-
-
-def _sort_early_exit_variant(p: list[int]) -> OpCounts:
-    n = len(p)
-    comparisons = swaps = bools = 0
-    for i in range(1, n + 1):
-        bools += 1  # flag reset
-        first_swap_at = None
-        for j in range(n - i):
-            comparisons += 1
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                swaps += 1
-                bools += 1  # single flag set per pass
-                first_swap_at = j
+        s = _bubble_pass(p, n - i)
+        comparisons += n - i
+        swaps += s
+        if variant != "plain":
+            bools += 1 + (s if variant == "early_exit" else s > 0)
+            if not s:
                 break
-        if first_swap_at is None:
-            return OpCounts(comparisons, swaps, bools, i)
-        for j in range(first_swap_at + 1, n - i):
-            comparisons += 1
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                swaps += 1
-    return OpCounts(comparisons, swaps, bools, n)
-
-
-_SORTERS = {
-    "plain": _sort_plain,
-    "early_exit": _sort_early_exit,
-    "early_exit_variant": _sort_early_exit_variant,
-}
+    return tuple(p), OpCounts(comparisons, swaps, bools, i)
 
 
 def bubble_sort_instrumented(
     seq: Sequence[int], variant: str = "plain"
 ) -> tuple[tuple[int, ...], OpCounts]:
     """Sort a copy of seq with the chosen variant and return exact counts."""
-    if variant not in _SORTERS:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    p = list(check_permutation(seq))
-    counts = _SORTERS[variant](p)
-    return tuple(p), counts
+    return _sort(list(check_permutation(seq)), variant)
 
 
 def opcounts_from_stats(n: int, passes: int, inversions: int, variant: str) -> OpCounts:
@@ -279,7 +245,7 @@ def sort_rows(rows, variant: str = "plain"):
     first swap of each pass."""
     import numpy as np
 
-    if variant not in _SORTERS:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     a = _columns(rows)
     n, r = a.shape
@@ -343,13 +309,11 @@ def enumerate_pass_distribution(n: int) -> dict[int, Fraction]:
     target = list(range(1, n + 1))
     for perm in _permutations(target):
         p = list(perm)
-        i = 0  # passes run so far; input counts as the state after pass 0
+        passes = 1  # the input counts as the state after pass 0
         while p != target:
-            i += 1
-            for j in range(n - i):
-                if p[j] > p[j + 1]:
-                    p[j], p[j + 1] = p[j + 1], p[j]
-        tally[i + 1] += 1
+            _bubble_pass(p, n - passes)
+            passes += 1
+        tally[passes] += 1
     total = math.factorial(n)
     return {passes: Fraction(c, total) for passes, c in sorted(tally.items())}
 

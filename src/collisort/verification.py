@@ -86,20 +86,13 @@ def suite_enumeration() -> list[ClaimResult]:
     out = []
     for n in range(1, 8):
         law = sorters.enumerate_pass_distribution(n)
-        ok = True
-        for m in range(0, n):
-            cdf_enum = sum(p for passes, p in law.items() if passes <= n - m)
-            if cdf_enum != exact.pass_cdf_fraction(n, m):
-                ok = False
-                break
+        ok = all(sum(p for passes, p in law.items() if passes <= n - m)
+                 == exact.pass_cdf_fraction(n, m) for m in range(0, n))
         out.append(_check(f"ENUM-PASS-N{n}", ok, "enumerated CDF", "product form",
                           "exact Fraction equality over all m"))
     for n in range(1, 7):
-        ok = True
-        for m in range(0, n + 1):
-            if sorters.enumerate_collision_survival(n, m) != exact.collision_sf_fraction(n, m):
-                ok = False
-                break
+        ok = all(sorters.enumerate_collision_survival(n, m) == exact.collision_sf_fraction(n, m)
+                 for m in range(0, n + 1))
         out.append(_check(f"ENUM-BDAY-N{n}", ok, "enumerated survival", "product form",
                           "exact Fraction equality over all m"))
     return out
@@ -196,8 +189,7 @@ def suite_stein_chen() -> list[ClaimResult]:
     for kind, n, m in instances:
         tv = poisson_approx.tv_exact_enumerated(kind, n, m)
         bound = poisson_approx.stein_chen_bound(poisson_approx.match_family(kind, n, m)).tv_bound
-        if not within(tv, bound):
-            ok = False
+        ok &= within(tv, bound)
         if worst is None or tv / max(bound, 1e-300) > worst[0]:
             worst = (tv / max(bound, 1e-300), kind, n, m)
     out.append(_check("SC-BOUND-ENUM", ok,

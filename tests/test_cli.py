@@ -118,6 +118,26 @@ def test_unwritable_output_path_is_usage_error(tmp_path, capsys):
         assert payload["kind"] == "usage" and "--output-path" in payload["error"]
 
 
+def test_unwritable_output_path_is_refused_before_the_command_runs(tmp_path, capsys,
+                                                                   monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli._DISPATCH, "verify", calls.append)
+    for path, reason in ((tmp_path, "Is a directory"),
+                         (tmp_path / "missing" / "rows.json", "No such file or directory")):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--output-path", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert json.loads(err) == {"error": f"--output-path {str(path)!r}: {reason}",
+                                   "kind": "usage"}
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    # a command that fails leaves an existing file as it was
+    target = tmp_path / "rows.json"
+    target.write_text("kept\n")
+    code, out, _ = run_cli(capsys, "exact", "pass-cdf", "--n", "5", "--m", "9",
+                           "--output-path", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert target.read_text() == "kept\n"
+
+
 def test_simulate_law_deterministic(capsys):
     args = ("simulate", "law", "--kind", "pass", "--n", "400", "--trials", "2000",
             "--seed", "42")
