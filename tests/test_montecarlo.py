@@ -1,5 +1,6 @@
 """Seeded samplers: determinism, tallies, and agreement with exact laws."""
 
+import hashlib
 import itertools
 import math
 
@@ -118,6 +119,20 @@ def test_digit_split_is_a_bijection():
         # prod distinct tuples in the product set of prod tuples: one-to-one and onto
         tuples = set(zip(*(d.tolist() for d in reversed(digits))))
         assert tuples == set(itertools.product(*(range(s) for s in sizes)))
+
+
+def test_table_samplers_draws_unchanged():
+    # the packed digit kernels see the same draws as the signed int64 split did
+    counters = empirical_opcounts(10**4, 10**4, SeededStream(DEFAULT_SEED, 1))
+    assert {name: (s.mean, s.variance) for name, s in counters.items()} == {
+        "comparison_reduction": (9815.0426, 93170951.18490373),
+        "flag_writes_early_exit": (25007897.9899, 27107945729.07911),
+        "flag_writes_variant": (19749.7448, 16892.38571153115),
+    }
+    passes = sample_pass_counts(10**4, 10**5, SeededStream(DEFAULT_SEED, 0))
+    assert passes.dtype == np.int64
+    assert hashlib.sha256(passes.astype("<i8").tobytes()).hexdigest() == (
+        "31bf66dba386c67d6a4be1ebda89fd5c9a07ad63aa3672ca97e893eed1514379")
 
 
 def test_support_groups_cover_the_table_in_order():
