@@ -5,6 +5,14 @@ SeedSequence spawn keys, so distinct stream ids give independent-quality
 substreams and identical ids reproduce draws bit for bit.  Permutation
 statistics are sampled through inversion tables (entry i uniform on
 {0..n-i}), the same provenance used by the exact laws.
+
+The numpy kernels spend as little arithmetic per table entry as they can
+without changing a draw: table values are drawn as uint64 and split into
+digits by unsigned division (`_draw_digits`); once `empirical_opcounts`
+stops taking the maximum, a group's digit sum comes from its quotient
+chain (`_digit_sums`) without forming the digits; and pair-match chunks
+are kept in the narrowest unsigned dtype that holds their values.  The
+seeded output is the same, bit for bit, as with signed int64 kernels.
 """
 
 from __future__ import annotations
@@ -111,13 +119,33 @@ def _support_groups(n: int):
 def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
     """One uniform value on {0..prod-1} per row, yielded as its mixed-radix
     digits from the last size to the first: independent and uniform on
-    {0..s-1}, since the value and its digits are in bijection."""
-    v = rng.integers(0, prod, size=rows)
+    {0..s-1}, since the value and its digits are in bijection.
+
+    The value is drawn as uint64, the same stream as an int64 draw for
+    prod <= 2^53, and split by unsigned division; each divisor is a
+    np.uint64, since numpy 1.x casts uint64 mixed with int64 to float64."""
+    v = rng.integers(0, prod, size=rows, dtype=np.uint64)
     for s in sizes[:0:-1]:
-        q = v // s
-        yield v - q * s
+        q = v // np.uint64(s)
+        yield v - q * np.uint64(s)
         v = q
     yield v
+
+
+def _digit_sums(rng: np.random.Generator, sizes, prod: int, total: np.ndarray) -> None:
+    """Add to each row of the uint64 ``total`` the digit sum of its value
+    drawn as in `_draw_digits`, without forming the digits.
+
+    With quotients q_0 = v and q_j = q_{j-1} // s_j for the sizes s_j
+    taken from the last to the second, the digits sum to
+    v - sum_j (s_j - 1) q_j; the total is exact modulo 2^64."""
+    v = rng.integers(0, prod, size=total.size, dtype=np.uint64)
+    total += v
+    scratch = np.empty_like(v)
+    for s in sizes[:0:-1]:
+        np.floor_divide(v, np.uint64(s), out=v)
+        np.multiply(v, np.uint64(s - 1), out=scratch)
+        total -= scratch
 
 
 def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
@@ -136,7 +164,7 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     rng = stream.generator()
     maxes = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
-    current = np.zeros(trials, dtype=np.int64)  # running maxima of the active rows
+    current = np.zeros(trials, dtype=np.uint64)  # running maxima of the active rows
     for sizes, prod in _support_groups(n):
         grows = current < sizes[0] - 1
         if not grows.all():
@@ -294,14 +322,15 @@ def empirical_pair_matches(
     mu = stein_chen_bound(family).mu
     cols = m + 1
     rng = stream.generator()
-    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # int64 draws
+    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # rows of int64 draws, which set the stream
+    narrow = np.min_scalar_type(family.supports[0] - 1)  # holds every value drawn
     tally = np.zeros(1 + cols * (cols - 1) // 2, dtype=np.int64)
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
         if kind == "birthday":
-            draws = rng.integers(0, n, size=(rows, cols))
+            draws = rng.integers(0, n, size=(rows, cols)).astype(narrow)
         else:
-            draws = np.empty((rows, cols), dtype=np.int64)
+            draws = np.empty((rows, cols), dtype=narrow)
             for col, size in enumerate(family.supports):
                 draws[:, col] = rng.integers(0, size, size=rows)
         tally += np.bincount(_pair_match_counts(draws), minlength=tally.size)
@@ -317,14 +346,21 @@ def empirical_pair_matches(
 def _pair_match_counts(draws: np.ndarray) -> np.ndarray:
     """Per row, the number of unordered column pairs holding equal values.
 
-    Sorts ``draws`` in place along its rows; a run of c equal values then
-    holds c(c-1)/2 pairs, summed as each member meets the earlier ones.
+    Sorts ``draws`` in place along its rows, in whatever integer dtype it
+    comes (`empirical_pair_matches` passes the narrowest that holds its
+    values); a run of c equal values then holds c(c-1)/2 pairs, summed as
+    each member meets the earlier ones.  The neighbour equalities are laid
+    out one contiguous row per column pair, and the counts are kept in the
+    smallest unsigned dtype that holds cols(cols-1)/2.
     """
+    rows, cols = draws.shape
     draws.sort(axis=1)
-    equal = draws[:, 1:] == draws[:, :-1]
-    run = np.zeros(draws.shape[0], dtype=np.int64)  # earlier members of the current run
+    equal = np.empty((cols - 1, rows), dtype=bool)
+    np.equal(draws[:, 1:].T, draws[:, :-1].T, out=equal)
+    # earlier members of the current run, and the matches so far
+    run = np.zeros(rows, dtype=np.min_scalar_type(cols * (cols - 1) // 2))
     matches = np.zeros_like(run)
-    for column in equal.T:
+    for column in equal:
         run += 1
         run *= column
         matches += run
@@ -348,22 +384,26 @@ def empirical_opcounts(
     value, as in `sample_pass_counts`, and every row draws every entry,
     since the inversion sum needs all of them; the maximum stops being
     taken once every row has reached a group's largest value, which no
-    later entry can pass.
+    later entry can pass, and from then on each group adds its digit sum
+    through `_digit_sums`.
     """
     if n < 2 or trials < 1:
         raise ValueError("need n >= 2 and trials >= 1")
     _check_bound("opcount sampling", n, trials, n * trials)
     rng = stream.generator()
-    maxes = np.zeros(trials, dtype=np.int64)
-    sums = np.zeros(trials, dtype=np.int64)
+    maxes = np.zeros(trials, dtype=np.uint64)
+    sums = np.zeros(trials, dtype=np.uint64)  # below n^2/2: the modulo-2^64 total is exact
     growing = True
     for sizes, prod in _support_groups(n):
         growing = growing and int(maxes.min()) < sizes[0] - 1
+        if not growing:
+            _digit_sums(rng, sizes, prod, sums)
+            continue
         for digit in _draw_digits(rng, sizes, prod, trials):
             sums += digit
-            if growing:
-                np.maximum(maxes, digit, out=maxes)
-    passes = maxes + 1
+            np.maximum(maxes, digit, out=maxes)
+    passes = maxes.view(np.int64) + 1
+    sums = sums.view(np.int64)
     plain, early, variant = (opcounts_from_stats(n, passes, sums, v) for v in VARIANTS)
     counters = {
         "comparison_reduction": plain.comparisons - early.comparisons,

@@ -102,6 +102,12 @@ def _bubble_pass(p: list[int], end: int) -> int:
     return swaps
 
 
+def _unsorted_after_n_passes(n: int) -> RuntimeError:
+    """The error for a permutation of n still unsorted after n passes;
+    a correct pass sorts every permutation of n in at most n - 1."""
+    return RuntimeError(f"{n} bubble passes left a permutation of n={n} unsorted")
+
+
 def pass_trace(seq: Sequence[int]) -> list[tuple[int, ...]]:
     """States after each pass, starting with the input (pass 0).
 
@@ -113,6 +119,8 @@ def pass_trace(seq: Sequence[int]) -> list[tuple[int, ...]]:
     target = list(range(1, n + 1))
     trace = [tuple(p)]
     while p != target:
+        if len(trace) > n:
+            raise _unsorted_after_n_passes(n)
         _bubble_pass(p, n - len(trace))  # pass i = len(trace) spans n - i pairs
         trace.append(tuple(p))
     return trace
@@ -311,6 +319,8 @@ def enumerate_pass_distribution(n: int) -> dict[int, Fraction]:
         p = list(perm)
         passes = 1  # the input counts as the state after pass 0
         while p != target:
+            if passes > n:
+                raise _unsorted_after_n_passes(n)
             _bubble_pass(p, n - passes)
             passes += 1
         tally[passes] += 1

@@ -11,6 +11,7 @@ from collisort import exact, montecarlo
 from collisort.montecarlo import (
     DEFAULT_SEED,
     SeededStream,
+    _digit_sums,
     _draw_digits,
     _pair_match_counts,
     _support_groups,
@@ -106,19 +107,37 @@ def test_law_tally_is_the_bincount_of_the_same_stream():
 class _CountingUp:
     """Stands in for a Generator whose draw of 0..high-1 is every value once."""
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype=np.int64):
         assert (low, size) == (0, high)
-        return np.arange(high, dtype=np.int64)
+        return np.arange(high, dtype=dtype)
+
+
+_DIGIT_SIZES = ([1], [2, 1], [3, 2], [4, 4, 4], [7, 1, 6], [5, 4, 3, 2, 1])
 
 
 def test_digit_split_is_a_bijection():
-    for sizes in ([1], [2, 1], [3, 2], [4, 4, 4], [7, 1, 6], [5, 4, 3, 2, 1]):
+    for sizes in _DIGIT_SIZES:
         prod = math.prod(sizes)
         digits = list(_draw_digits(_CountingUp(), sizes, prod, prod))
         assert len(digits) == len(sizes)
         # prod distinct tuples in the product set of prod tuples: one-to-one and onto
         tuples = set(zip(*(d.tolist() for d in reversed(digits))))
         assert tuples == set(itertools.product(*(range(s) for s in sizes)))
+
+
+def test_digit_sums_follow_the_quotient_chain():
+    for sizes in _DIGIT_SIZES:
+        prod = math.prod(sizes)
+        expected = sum(d.astype(np.int64) for d in _draw_digits(_CountingUp(), sizes, prod, prod))
+        total = np.zeros(prod, dtype=np.uint64)
+        _digit_sums(_CountingUp(), sizes, prod, total)
+        assert total.tolist() == expected.tolist()
+    # a total the sums carry past 2^64 is kept modulo 2^64
+    start = 2**64 - 3
+    total = np.full(prod, start, dtype=np.uint64)
+    _digit_sums(_CountingUp(), sizes, prod, total)
+    assert total.tolist() == [(start + e) % 2**64 for e in expected.tolist()]
+    assert int(total.min()) < start  # the rows whose digits sum to 3 or more wrapped
 
 
 def test_table_samplers_draws_unchanged():
@@ -297,10 +316,18 @@ def test_pair_match_counts_equal_column_pair_oracle():
     ])
     rng = np.random.default_rng(3)
     for draws in (fixed, rng.integers(0, 4, size=(500, 9)), rng.integers(0, 50, size=(500, 23)),
-                  rng.integers(0, 3, size=(50, 1))):
+                  rng.integers(0, 3, size=(50, 1)),
+                  rng.integers(0, 256, size=(500, 40)).astype(np.uint8),
+                  rng.integers(0, 365, size=(500, 23)).astype(np.uint16)):
         expected = pair_match_counts_by_columns(draws)
         assert np.array_equal(_pair_match_counts(draws.copy()), expected)
     assert _pair_match_counts(fixed.copy()).tolist() == [0, 10, 3, 2, 4]
+
+
+def test_pair_match_counts_hold_more_than_2_to_the_31_pairs():
+    cols = 65_537
+    counts = _pair_match_counts(np.zeros((1, cols), dtype=np.uint8))
+    assert counts.tolist() == [cols * (cols - 1) // 2] == [2_147_516_416]
 
 
 def test_pair_matches_birthday_draws_unchanged():

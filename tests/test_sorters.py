@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collisort import sorters
 from collisort.exact import collision_sf_fraction, pass_cdf_fraction
 from collisort.sorters import (
     VARIANTS,
@@ -247,6 +248,14 @@ def test_enumerate_pass_distribution_matches_cdf_n7():
     for m in range(0, 7):
         cdf = sum(p for passes, p in law.items() if passes <= 7 - m)
         assert cdf == pass_cdf_fraction(7, m)
+
+
+def test_pass_loops_refuse_a_pass_that_never_sorts(monkeypatch):
+    monkeypatch.setattr(sorters, "_bubble_pass", lambda p, end: 0)
+    with pytest.raises(RuntimeError, match=r"4 bubble passes left a permutation of n=4 unsorted"):
+        pass_trace((2, 1, 4, 3))
+    with pytest.raises(RuntimeError, match=r"n=3 unsorted"):
+        enumerate_pass_distribution(3)
 
 
 def test_enumerate_pass_distribution_resource_bound():
