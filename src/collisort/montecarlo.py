@@ -11,8 +11,9 @@ without changing a draw: table values are drawn as uint64 and split into
 digits by unsigned division (`_draw_digits`); once `empirical_opcounts`
 stops taking the maximum, a group's digit sum comes from its quotient
 chain (`_digit_sums`) without forming the digits; and pair-match chunks
-are kept in the narrowest unsigned dtype that holds their values.  The
-seeded output is the same, bit for bit, as with signed int64 kernels.
+are drawn as uint32 (or uint64 past 2^32) and kept in the narrowest
+unsigned dtype that holds their values.  The seeded output is the same,
+bit for bit, as with signed int64 kernels.
 """
 
 from __future__ import annotations
@@ -322,17 +323,19 @@ def empirical_pair_matches(
     mu = stein_chen_bound(family).mu
     cols = m + 1
     rng = stream.generator()
-    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # rows of int64 draws, which set the stream
+    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # rows of 8-byte values, as the stream was set
     narrow = np.min_scalar_type(family.supports[0] - 1)  # holds every value drawn
+    # below 2^32 a uint32 draw is the same stream as an int64 one, in half the bytes
+    wide = np.promote_types(narrow, np.uint32)
     tally = np.zeros(1 + cols * (cols - 1) // 2, dtype=np.int64)
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
         if kind == "birthday":
-            draws = rng.integers(0, n, size=(rows, cols)).astype(narrow)
+            draws = rng.integers(0, n, size=(rows, cols), dtype=wide).astype(narrow, copy=False)
         else:
             draws = np.empty((rows, cols), dtype=narrow)
             for col, size in enumerate(family.supports):
-                draws[:, col] = rng.integers(0, size, size=rows)
+                draws[:, col] = rng.integers(0, size, size=rows, dtype=wide)
         tally += np.bincount(_pair_match_counts(draws), minlength=tally.size)
 
     probs = tally / trials
