@@ -124,12 +124,18 @@ def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
 
     The value is drawn as uint64, the same stream as an int64 draw for
     prod <= 2^53, and split by unsigned division; each divisor is a
-    np.uint64, since numpy 1.x casts uint64 mixed with int64 to float64."""
+    np.uint64, since numpy 1.x casts uint64 mixed with int64 to float64.
+    The split runs in three buffers, so a yielded digit is overwritten
+    once the next one is asked for."""
     v = rng.integers(0, prod, size=rows, dtype=np.uint64)
+    q, digit = np.empty_like(v), np.empty_like(v)
     for s in sizes[:0:-1]:
-        q = v // np.uint64(s)
-        yield v - q * np.uint64(s)
-        v = q
+        s = np.uint64(s)
+        np.floor_divide(v, s, out=q)
+        np.multiply(q, s, out=digit)
+        np.subtract(v, digit, out=digit)
+        yield digit
+        v, q = q, v
     yield v
 
 
@@ -163,7 +169,7 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     # either law draws about sqrt(pi n / 2) values a trial, below sqrt(2n) + 1
     _check_bound("pass sampling", n, trials, trials * (math.isqrt(2 * n) + 1))
     rng = stream.generator()
-    maxes = np.zeros(trials, dtype=np.int64)
+    maxes = np.zeros(trials, dtype=np.uint64)  # uint64 like the digits: no cast copies
     active = np.arange(trials)
     current = np.zeros(trials, dtype=np.uint64)  # running maxima of the active rows
     for sizes, prod in _support_groups(n):
@@ -176,7 +182,7 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
         for digit in _draw_digits(rng, sizes, prod, active.size):
             np.maximum(current, digit, out=current)
     maxes[active] = current
-    return maxes + 1
+    return maxes.view(np.int64) + 1
 
 
 def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
@@ -323,7 +329,7 @@ def empirical_pair_matches(
     mu = stein_chen_bound(family).mu
     cols = m + 1
     rng = stream.generator()
-    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # rows of 8-byte values, as the stream was set
+    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # rows a chunk, sized as for int64 values
     narrow = np.min_scalar_type(family.supports[0] - 1)  # holds every value drawn
     # below 2^32 a uint32 draw is the same stream as an int64 one, in half the bytes
     wide = np.promote_types(narrow, np.uint32)

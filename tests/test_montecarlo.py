@@ -118,7 +118,7 @@ _DIGIT_SIZES = ([1], [2, 1], [3, 2], [4, 4, 4], [7, 1, 6], [5, 4, 3, 2, 1])
 def test_digit_split_is_a_bijection():
     for sizes in _DIGIT_SIZES:
         prod = math.prod(sizes)
-        digits = list(_draw_digits(_CountingUp(), sizes, prod, prod))
+        digits = [d.copy() for d in _draw_digits(_CountingUp(), sizes, prod, prod)]
         assert len(digits) == len(sizes)
         # prod distinct tuples in the product set of prod tuples: one-to-one and onto
         tuples = set(zip(*(d.tolist() for d in reversed(digits))))
