@@ -129,15 +129,10 @@ def test_digit_sums_follow_the_quotient_chain():
     for sizes in _DIGIT_SIZES:
         prod = math.prod(sizes)
         expected = sum(d.astype(np.int64) for d in _draw_digits(_CountingUp(), sizes, prod, prod))
-        total = np.zeros(prod, dtype=np.uint64)
-        _digit_sums(_CountingUp(), sizes, prod, total)
-        assert total.tolist() == expected.tolist()
-    # a total the sums carry past 2^64 is kept modulo 2^64
-    start = 2**64 - 3
-    total = np.full(prod, start, dtype=np.uint64)
-    _digit_sums(_CountingUp(), sizes, prod, total)
-    assert total.tolist() == [(start + e) % 2**64 for e in expected.tolist()]
-    assert int(total.min()) < start  # the rows whose digits sum to 3 or more wrapped
+        for start in (0, 2**64 - 3):  # from 2^64 - 3, a digit sum of 3 or more wraps past 2^64
+            total = np.full(prod, start, dtype=np.uint64)
+            _digit_sums(_CountingUp(), sizes, prod, total)
+            assert total.tolist() == [(start + int(e)) % 2**64 for e in expected]
 
 
 def test_table_samplers_draws_unchanged():
