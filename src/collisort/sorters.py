@@ -112,7 +112,8 @@ def pass_trace(seq: Sequence[int]) -> list[tuple[int, ...]]:
     """States after each pass, starting with the input (pass 0).
 
     snapshot[i] is the sequence at the end of the i-th pass; the trace
-    stops at the first sorted snapshot.
+    stops at the first sorted snapshot, and a RuntimeError ends a trace
+    still unsorted after n passes, which only a broken pass can leave.
     """
     p = list(check_permutation(seq))
     n = len(p)
