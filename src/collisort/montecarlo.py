@@ -30,6 +30,9 @@ from .sorters import VARIANTS, ResourceBoundError, opcounts_from_stats
 DEFAULT_SEED = 0x5EED_B0B5
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12
 _CHUNK_BYTES = 8_000_000  # per-chunk occupancy bitmap or draw matrix
+# a quarter of the rows for birthday pair matches: uint32 draws carry a half-used word across
+# calls, so chunk ends do not move the stream (inversion chunks draw per column, and stay)
+_BIRTHDAY_CHUNK_BYTES = _CHUNK_BYTES // 4
 _PACK_LIMIT = 1 << 53  # largest product of supports packed into one draw
 _MAX_DRAWS = 2_000_000_000  # random values, bitmap bits or tally cells per call
 
@@ -329,7 +332,8 @@ def empirical_pair_matches(
     mu = stein_chen_bound(family).mu
     cols = m + 1
     rng = stream.generator()
-    chunk = max(1, _CHUNK_BYTES // (8 * cols))  # rows a chunk, sized as for int64 values
+    budget = _BIRTHDAY_CHUNK_BYTES if kind == "birthday" else _CHUNK_BYTES
+    chunk = max(1, budget // (8 * cols))  # rows a chunk, sized as for int64 values
     narrow = np.min_scalar_type(family.supports[0] - 1)  # holds every value drawn
     # below 2^32 a uint32 draw is the same stream as an int64 one, in half the bytes
     wide = np.promote_types(narrow, np.uint32)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PoissonLaw, poisson_pmf_vector
-from .sorters import ENUM_BIRTHDAY_LIMIT, ResourceBoundError
+from .sorters import ENUM_BIRTHDAY_LIMIT, ResourceBoundError, check_enumeration_n
 
 ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # both walk the space {0..n-1}^(m+1)
 ENUM_INVERSION_N = 8
@@ -146,35 +146,26 @@ def poisson_limit_functionals(family: DissociatedFamily) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _mixed_radix_states(radices: tuple[int, ...]) -> np.ndarray:
-    """All tuples of the product space, one row per state."""
-    total = 1
-    for r in radices:
-        total *= r
-    if total > 2_000_000:
-        raise ResourceBoundError(f"product space of {total} states too large")
-    out = np.empty((total, len(radices)), dtype=np.int32)
-    idx = np.arange(total)
-    for col, r in enumerate(radices):
-        out[:, col] = idx % r
-        idx //= r
-    return out
-
-
 def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
-    """Exact law of the pairwise match count by full enumeration."""
+    """Exact law of the pairwise match count by full enumeration.
+
+    One `np.indices` call lays out the product space, a contiguous row per entry in
+    the narrowest unsigned dtype; match counts take the narrowest that holds C(m+1, 2).
+    """
     family, limit = _match_kind(kind)
-    if not 1 <= n <= limit:
-        raise ResourceBoundError(f"{kind} enumeration bounded at n <= {limit}")
+    check_enumeration_n(kind, n, limit)
     if m > n:
         raise ValueError("need m <= n")
-    states = _mixed_radix_states(family(n, m).supports)
-    total = states.shape[0]
-    counts = np.zeros(total, dtype=np.int64)
-    cols = states.shape[1]
+    supports = family(n, m).supports
+    total = math.prod(supports)
+    if total > 2_000_000:
+        raise ResourceBoundError(f"product space of {total} states too large")
+    cols = len(supports)
+    states = np.indices(supports, dtype=np.min_scalar_type(supports[0] - 1)).reshape(cols, total)
+    counts = np.zeros(total, dtype=np.min_scalar_type(cols * (cols - 1) // 2))
     for a in range(cols):
         for b in range(a + 1, cols):
-            counts += states[:, a] == states[:, b]
+            counts += states[a] == states[b]
     tally = np.bincount(counts)
     return {k: tally[k] / total for k in range(len(tally)) if tally[k]}
 

@@ -43,6 +43,14 @@ class ResourceBoundError(Exception):
     """Raised when an exhaustive enumeration exceeds its size bound."""
 
 
+def check_enumeration_n(what: str, n: int, limit: int) -> None:
+    """Refuse n < 1 as a bad argument and n > limit as over the size bound."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if n > limit:
+        raise ResourceBoundError(f"{what} enumeration bounded at n <= {limit}")
+
+
 @dataclass(frozen=True)
 class OpCounts:
     """Counts of one run; fields may also be equal-shape integer arrays of
@@ -312,8 +320,7 @@ def enumerate_pass_distribution(n: int) -> dict[int, Fraction]:
     the inversion-table shortcut, so it stays independent of the
     identities it is used to verify.
     """
-    if not 1 <= n <= ENUM_PASS_LIMIT:
-        raise ResourceBoundError(f"pass enumeration bounded at n <= {ENUM_PASS_LIMIT}")
+    check_enumeration_n("pass", n, ENUM_PASS_LIMIT)
     tally: Counter[int] = Counter()
     target = list(range(1, n + 1))
     for perm in _permutations(target):
@@ -336,10 +343,7 @@ def enumerate_collision_survival(n: int, m: int) -> Fraction:
     Deliberately does no combinatorial shortcut: this is the independent
     oracle the product formula is tested against.
     """
-    if not 1 <= n <= ENUM_BIRTHDAY_LIMIT:
-        raise ResourceBoundError(
-            f"birthday enumeration bounded at n <= {ENUM_BIRTHDAY_LIMIT}"
-        )
+    check_enumeration_n("birthday", n, ENUM_BIRTHDAY_LIMIT)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     count = 0

@@ -339,6 +339,18 @@ def test_pair_matches_inversion_draws_unchanged():
     assert summary.tv_distance == 0.01952316126937972
 
 
+def test_pair_matches_birthday_ignore_chunk_size(monkeypatch):
+    # uint32 draws carry a half-used 64-bit word from one call to the next, so
+    # where a birthday chunk ends does not move the stream; 37-row chunks of 23
+    # values, an odd count, end mid-word.  The inversion kind draws one column
+    # per chunk, so its stream depends on the rows a chunk holds: it is not
+    # chunk-invariant.
+    stream = SeededStream(DEFAULT_SEED, 3)
+    default = empirical_pair_matches("birthday", 365, 22, 123_457, stream)
+    monkeypatch.setattr(montecarlo, "_BIRTHDAY_CHUNK_BYTES", 8 * 23 * 37)
+    assert empirical_pair_matches("birthday", 365, 22, 123_457, stream) == default
+
+
 def test_pair_matches_zero_depth():
     summary = empirical_pair_matches("birthday", 365, 0, 2000, SeededStream(5, 5))
     assert summary.mean == 0.0

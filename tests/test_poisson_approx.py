@@ -1,12 +1,14 @@
 """Stein-Chen bound machinery against enumeration and direct-summation oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from collisort import sorters
+from collisort.exact import collision_sf_fraction, pass_cdf_fraction
 from collisort.poisson_approx import (
     ENUM_BIRTHDAY_N,
     ENUM_INVERSION_N,
@@ -277,6 +279,32 @@ def test_match_count_law_is_probability():
     assert all(v > 0 for v in law.values())
 
 
+def test_match_count_laws_put_the_no_match_product_at_zero():
+    # P(W = 0) is the chance that the m + 1 entries are all distinct: the birthday
+    # survival product, and for inversion-table entries the pass CDF; the tally
+    # over the states is the same quotient, to the last bit
+    for n in range(1, ENUM_BIRTHDAY_N + 1):
+        for m in range(n + 1):
+            law = match_count_law("birthday", n, m)
+            assert law.get(0, 0.0) == float(collision_sf_fraction(n, m)), (n, m)
+    for n in range(1, ENUM_INVERSION_N + 1):
+        for m in range(n):
+            law = match_count_law("inversion", n, m)
+            assert law.get(0, 0.0) == float(pass_cdf_fraction(n, m)), (n, m)
+
+
+def test_match_count_law_memory():
+    # the birthday (6, 6) space has 6^7 = 279,936 states: seven uint8 rows of
+    # them and uint8 match counts take 2.1 MiB, np.bincount's intp copy 2.1 more
+    tracemalloc.start()
+    try:
+        match_count_law("birthday", 6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_tv_distance_helper():
     assert tv_distance_to_poisson({0: 1.0}, 0.0) == 0.0
     # point mass at 0 vs Poisson(1): TV = 1 - e^-1
@@ -289,6 +317,8 @@ def test_tv_distance_helper():
     pytest.param(lambda: match_family("x", 3, 1), id="family-kind"),
     pytest.param(lambda: match_count_law("x", 3, 1), id="law-kind"),
     pytest.param(lambda: match_count_law("birthday", 3, 5), id="law-m-over-n"),
+    pytest.param(lambda: match_count_law("birthday", 0, 0), id="law-birthday-n-0"),
+    pytest.param(lambda: match_count_law("inversion", 0, 0), id="law-inversion-n-0"),
     pytest.param(lambda: tv_distance_to_poisson({}, -1), id="tv-negative-mu"),
 ])
 def test_poisson_approx_refuses_bad_arguments(call):

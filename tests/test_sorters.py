@@ -337,6 +337,9 @@ def test_pass_distinction_identity():
     pytest.param(lambda: check_inversion_table(()), id="empty-table"),
     pytest.param(lambda: opcounts_from_stats(3, 1, 0, "bogus"), id="variant"),
     pytest.param(lambda: enumerate_collision_survival(3, 5), id="collision-m-over-n"),
+    # n = 0 is a bad argument, not a resource bound (exit 2, not 3)
+    pytest.param(lambda: enumerate_pass_distribution(0), id="pass-enumeration-n-0"),
+    pytest.param(lambda: enumerate_collision_survival(0, 0), id="collision-enumeration-n-0"),
 ])
 def test_sorters_refuse_bad_arguments(call):
     with pytest.raises(ValueError):
