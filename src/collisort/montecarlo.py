@@ -4,7 +4,10 @@ Streams are PCG64 generators keyed by (seed, stream_id) through numpy's
 SeedSequence spawn keys, so distinct stream ids give independent-quality
 substreams and identical ids reproduce draws bit for bit.  Permutation
 statistics are sampled through inversion tables (entry i uniform on
-{0..n-i}), the same provenance used by the exact laws.
+{0..n-i}), the same provenance used by the exact laws.  First collisions
+are sampled with each row's days relabelled in order of first appearance,
+so a step compares one uniform draw with the count of days seen and no
+row keeps state that grows with n.
 
 The numpy kernels spend as little arithmetic per table entry as they can
 without changing a draw: table values are drawn as uint64 and split into
@@ -29,12 +32,12 @@ from .sorters import VARIANTS, ResourceBoundError, opcounts_from_stats
 
 DEFAULT_SEED = 0x5EED_B0B5
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12
-_CHUNK_BYTES = 8_000_000  # per-chunk occupancy bitmap or draw matrix
+_CHUNK_BYTES = 8_000_000  # per-chunk draw matrix or row indices
 # a quarter of the rows for birthday pair matches: uint32 draws carry a half-used word across
 # calls, so chunk ends do not move the stream (inversion chunks draw per column, and stay)
 _BIRTHDAY_CHUNK_BYTES = _CHUNK_BYTES // 4
 _PACK_LIMIT = 1 << 53  # largest product of supports packed into one draw
-_MAX_DRAWS = 2_000_000_000  # random values, bitmap bits or tally cells per call
+_MAX_DRAWS = 2_000_000_000  # random values or tally cells per call
 
 LAW_KINDS = tuple(exact.LATTICES)
 MATCH_KINDS = tuple(MATCH_FAMILIES)
@@ -191,36 +194,28 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
 def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     """First-collision counts for the birthday process on n days.
 
-    Sequential occupancy: each chunk of rows keeps a rows x n bitmap, one
-    bit per (row, day), of the days seen so far.  Every step draws one day
-    for each unresolved row; a row whose day is already marked resolves at
-    that step, the others mark their day.  Each row draws exactly its C
-    values.
+    Each row names its days in the order they first appear, so after k
+    distinct days its seen set is {0..k-1} and step k + 1 repeats a day iff
+    its draw is below k.  The relabelling is a bijection that depends only on
+    the row's past, so every draw stays uniform and C keeps its law; no
+    day identities are kept (`sample_first_collision` tracks them).  Every
+    step draws one value for each unresolved row, and each row draws
+    exactly its C values.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
-    _check_bound("collision sampling", n, trials, max(n, trials * (math.isqrt(2 * n) + 1)))
+    _check_bound("collision sampling", n, trials, trials * (math.isqrt(2 * n) + 1))
     rng = stream.generator()
-    row_bytes = (n + 7) // 8
-    # bitmap within _CHUNK_BYTES; at most _CHUNK_BYTES // 64 rows, which
-    # keeps the per-step int64 arrays near that size as well
-    chunk = max(1, _CHUNK_BYTES // max(row_bytes, 64))
+    chunk = _CHUNK_BYTES // 64  # each step's int64 draws and row indices stay near 1 MB
     out = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, chunk):
-        rows = min(chunk, trials - start)
-        seen = np.zeros(rows * row_bytes, dtype=np.uint8)
-        active = np.arange(rows)
+        active = np.arange(start, min(start + chunk, trials))
         step = 0
         while active.size:  # pigeonhole: every row resolves by step n + 1
             step += 1
-            days = rng.integers(0, n, size=active.size)
-            at = active * row_bytes + (days >> 3)  # rows never share a byte
-            bits = np.left_shift(1, days & 7).astype(np.uint8)
-            hit = (seen[at] & bits) != 0
-            out[start + active[hit]] = step
-            fresh = ~hit
-            active = active[fresh]
-            seen[at[fresh]] |= bits[fresh]
+            hit = rng.integers(0, n, size=active.size) < step - 1
+            out[active[hit]] = step
+            active = active[~hit]
     return out
 
 

@@ -147,6 +147,10 @@ def test_table_samplers_draws_unchanged():
     assert passes.dtype == np.int64
     assert hashlib.sha256(passes.astype("<i8").tobytes()).hexdigest() == (
         "31bf66dba386c67d6a4be1ebda89fd5c9a07ad63aa3672ca97e893eed1514379")
+    # the relabelled collision draws, pinned so that a change to them is seen
+    collisions = sample_collision_counts(10**4, 10**5, SeededStream(DEFAULT_SEED, 0))
+    assert hashlib.sha256(collisions.astype("<i8").tobytes()).hexdigest() == (
+        "9f190dee45b22fe51f4c277045d43c7f791cf9d7983ee8095fec7aee067a4f38")
 
 
 def test_support_groups_cover_the_table_in_order():
@@ -270,6 +274,38 @@ def test_empirical_law_ks_below_critical():
     assert summary.ks_exact < ks_critical_1pct(10**5)
 
 
+def test_empirical_collision_law_ks_below_critical():
+    summary = empirical_law("collision", 10**6, 10**5, SeededStream())
+    assert summary.ks_exact < ks_critical_1pct(10**5)
+
+
+def test_batch_collisions_agree_in_law_with_the_literal_process():
+    # the relabelled batch sampler against the literal one that keeps the days
+    trials = 5000
+    critical = 1.63 * math.sqrt(2 / trials)  # two-sample KS at the 1 % level
+    for n in (7, 50):
+        literal = np.array([sample_first_collision(n, SeededStream(91, sid)) for sid in range(trials)])
+        batch = sample_collision_counts(n, trials, SeededStream(92, n))
+        grid = np.arange(2, n + 2)
+        ks = np.max(np.abs(np.searchsorted(np.sort(literal), grid, side="right")
+                           - np.searchsorted(np.sort(batch), grid, side="right"))) / trials
+        assert ks < critical
+
+
+def test_collision_sampler_memory_does_not_grow_with_n():
+    import tracemalloc
+
+    n = 10**8
+    tracemalloc.start()
+    try:
+        c = sample_collision_counts(n, 20, SeededStream(5, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert c.size == 20 and c.min() >= 2 and c.max() <= n + 1
+
+
 def test_empirical_law_rayleigh_bias_shrinks():
     s1 = empirical_law("pass", 100, 10**5, SeededStream(31, 0))
     s2 = empirical_law("pass", 10**4, 10**5, SeededStream(31, 0))
@@ -390,7 +426,7 @@ def test_pair_matches_resource_guard():
 
 def test_samplers_refuse_before_allocating():
     for call in (lambda: sample_pass_counts(10**11, 10**5, SeededStream()),
-                 lambda: sample_collision_counts(10**11, 1, SeededStream()),
+                 lambda: sample_collision_counts(10**11, 10**5, SeededStream()),
                  lambda: law_tally("pass", 10**11, 1, SeededStream()),
                  lambda: law_tally("collision", 10**11, 1, SeededStream()),
                  lambda: empirical_opcounts(10**11, 10, SeededStream())):
