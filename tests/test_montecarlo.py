@@ -147,6 +147,13 @@ def test_table_samplers_draws_unchanged():
     assert passes.dtype == np.int64
     assert hashlib.sha256(passes.astype("<i8").tobytes()).hexdigest() == (
         "31bf66dba386c67d6a4be1ebda89fd5c9a07ad63aa3672ca97e893eed1514379")
+    # single-group tables: a product below 2^32 (n = 12, an odd row count) and above it (n = 13)
+    for n, trials, digest in (
+        (12, 4001, "6f94d0c28ef4d91622653d9e3459c38acdbad330af367114e720e169d3ad7848"),
+        (13, 5000, "aaaedfee3de216bf94f28df39bcd1da6ce370fe0eda2a4e20c63e552fd34ec81"),
+    ):
+        passes = sample_pass_counts(n, trials, SeededStream(DEFAULT_SEED, 0))
+        assert hashlib.sha256(passes.astype("<i8").tobytes()).hexdigest() == digest, n
     # the relabelled collision draws, pinned so that a change to them is seen
     collisions = sample_collision_counts(10**4, 10**5, SeededStream(DEFAULT_SEED, 0))
     assert hashlib.sha256(collisions.astype("<i8").tobytes()).hexdigest() == (
