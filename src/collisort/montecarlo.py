@@ -13,10 +13,12 @@ The numpy kernels spend as little arithmetic per table entry as they can
 without changing a draw: table values are drawn as uint64 and split into
 digits by unsigned division (`_draw_digits`); once `empirical_opcounts`
 stops taking the maximum, a group's digit sum comes from its quotient
-chain (`_digit_sums`) without forming the digits; and pair-match chunks
-are drawn as uint32 (or uint64 past 2^32) and kept in the narrowest
-unsigned dtype that holds their values.  The seeded output is the same,
-bit for bit, as with signed int64 kernels.
+chain (`_digit_sums`) without forming the digits; each group is drawn for
+at most 2^14 rows at a time (`_parts`), so its buffers stay small at any
+trial count; and pair-match chunks are drawn as uint32 (or uint64 past
+2^32) and kept in the narrowest unsigned dtype that holds their values.
+The seeded output is the same, bit for bit, as with signed int64 kernels
+drawn for every row at once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _CHUNK_BYTES = 8_000_000  # per-chunk draw matrix or row indices
 # calls, so chunk ends do not move the stream (inversion chunks draw per column, and stay)
 _BIRTHDAY_CHUNK_BYTES = _CHUNK_BYTES // 4
 _PACK_LIMIT = 1 << 53  # largest product of supports packed into one draw
+_PART_ROWS = 1 << 14  # rows a packed group is drawn for at once: 128 KiB a uint64 buffer
 _MAX_DRAWS = 2_000_000_000  # random values or tally cells per call
 
 LAW_KINDS = tuple(exact.LATTICES)
@@ -123,6 +126,16 @@ def _support_groups(n: int):
     yield sizes, prod
 
 
+def _parts(rows: int):
+    """Consecutive slices of at most _PART_ROWS rows that cover ``rows`` rows.
+
+    A part's draw continues the stream where the last one ended (a uint64
+    draw past 2^32 takes whole 64-bit words; below, the bit generator keeps
+    the half-used word of its 32-bit buffer), so a group drawn part by part
+    sees the same values as in one call."""
+    return (slice(lo, lo + _PART_ROWS) for lo in range(0, rows, _PART_ROWS))
+
+
 def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
     """One uniform value on {0..prod-1} per row, yielded as its mixed-radix
     digits from the last size to the first: independent and uniform on
@@ -131,8 +144,9 @@ def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
     The value is drawn as uint64, the same stream as an int64 draw for
     prod <= 2^53, and split by unsigned division; each divisor is a
     np.uint64, since numpy 1.x casts uint64 mixed with int64 to float64.
-    The split runs in three buffers, so a yielded digit is overwritten
-    once the next one is asked for."""
+    The split runs in three buffers of ``rows`` values, one part of the
+    caller's rows (`_parts`), so a yielded digit is overwritten once the
+    next one is asked for."""
     v = rng.integers(0, prod, size=rows, dtype=np.uint64)
     q, digit = np.empty_like(v), np.empty_like(v)
     for s in sizes[:0:-1]:
@@ -146,8 +160,9 @@ def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
 
 
 def _digit_sums(rng: np.random.Generator, sizes, prod: int, total: np.ndarray) -> None:
-    """Add to each row of the uint64 ``total`` the digit sum of its value
-    drawn as in `_draw_digits`, without forming the digits.
+    """Add to each row of the uint64 ``total`` (one part of the caller's
+    rows, as in `_draw_digits`) the digit sum of its value drawn as in
+    `_draw_digits`, without forming the digits.
 
     With quotients q_0 = v and q_j = q_{j-1} // s_j for the sizes s_j
     taken from the last to the second, the digits sum to
@@ -168,7 +183,9 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     order, several per random value (`_support_groups`), and a group only
     for the rows whose running maximum can still grow (max < its largest
     support - 1); a row is frozen as soon as it cannot, since every later
-    support is smaller still.
+    support is smaller still.  A group is drawn part by part (`_parts`), so
+    the digit buffers hold 2^14 rows whatever the trial count, and the rows
+    still active are indexed in the narrowest signed dtype that holds them.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
@@ -176,7 +193,7 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     _check_bound("pass sampling", n, trials, trials * (math.isqrt(2 * n) + 1))
     rng = stream.generator()
     maxes = np.zeros(trials, dtype=np.uint64)  # uint64 like the digits: no cast copies
-    active = np.arange(trials)
+    active = np.arange(trials, dtype=np.min_scalar_type(-trials))  # narrowest signed indices
     current = np.zeros(trials, dtype=np.uint64)  # running maxima of the active rows
     for sizes, prod in _support_groups(n):
         grows = current < sizes[0] - 1
@@ -185,10 +202,14 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
             active, current = active[grows], current[grows]
             if not active.size:
                 break
-        for digit in _draw_digits(rng, sizes, prod, active.size):
-            np.maximum(current, digit, out=current)
+        for part in _parts(active.size):
+            top = current[part]
+            for digit in _draw_digits(rng, sizes, prod, top.size):
+                np.maximum(top, digit, out=top)
     maxes[active] = current
-    return maxes.view(np.int64) + 1
+    passes = maxes.view(np.int64)
+    passes += 1
+    return passes
 
 
 def sample_collision_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
@@ -262,12 +283,15 @@ def law_tally(kind: str, n: int, trials: int, stream: SeededStream) -> np.ndarra
     """Tally of lattice values (deficit d for pass, j = C-1 for collision)."""
     if kind not in LAW_KINDS:
         raise ValueError(f"kind must be one of {LAW_KINDS}")
+    # n + 1 cells bound the lattice walk of the summary; the tally ends at the largest value drawn
     _check_bound(f"{kind} law tally", n, trials, n + 1)
     if kind == "pass":
-        values = n - sample_pass_counts(n, trials, stream)
+        values = sample_pass_counts(n, trials, stream)
+        np.subtract(n, values, out=values)
     else:
-        values = sample_collision_counts(n, trials, stream) - 1
-    return np.bincount(values, minlength=exact.LATTICES[kind][1] + n)
+        values = sample_collision_counts(n, trials, stream)
+        values -= 1
+    return np.bincount(values)
 
 
 def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummary:
@@ -275,8 +299,10 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
     trials = int(tally.sum())
     first = exact.LATTICES[kind][1]
     length = max(_ks_grid_length(n), int(np.nonzero(tally)[0].max()) + 1 - first)
-    length = min(length, tally.size - first)
-    counts = tally[first : first + length].astype(np.float64)
+    length = min(length, n)  # a law has n lattice values
+    counts = np.zeros(length)  # the tally may end before the KS grid does
+    drawn = tally[first : first + length]
+    counts[: drawn.size] = drawn
     grid, exact_cdf, rayleigh_cdf = _exact_lattice(kind, n, length)
     ecdf = np.cumsum(counts) / trials
     ks_exact = float(np.max(np.abs(ecdf - exact_cdf)))
@@ -389,8 +415,8 @@ def empirical_opcounts(
     and the sum of its inversion table, through the per-permutation
     identities of `sorters.opcounts_from_stats`, which the exhaustive small-n
     suite verifies exactly.  The table is drawn several entries per random
-    value, as in `sample_pass_counts`, and every row draws every entry,
-    since the inversion sum needs all of them; the maximum stops being
+    value and part by part, as in `sample_pass_counts`, and every row draws
+    every entry, since the inversion sum needs all of them; the maximum stops being
     taken once every row has reached a group's largest value, which no
     later entry can pass, and from then on each group adds its digit sum
     through `_digit_sums`.
@@ -402,14 +428,16 @@ def empirical_opcounts(
     maxes = np.zeros(trials, dtype=np.uint64)
     sums = np.zeros(trials, dtype=np.uint64)  # below n^2/2: the modulo-2^64 total is exact
     growing = True
+    parts = [(sums[part], maxes[part]) for part in _parts(trials)]
     for sizes, prod in _support_groups(n):
         growing = growing and int(maxes.min()) < sizes[0] - 1
-        if not growing:
-            _digit_sums(rng, sizes, prod, sums)
-            continue
-        for digit in _draw_digits(rng, sizes, prod, trials):
-            sums += digit
-            np.maximum(maxes, digit, out=maxes)
+        for total, top in parts:
+            if not growing:
+                _digit_sums(rng, sizes, prod, total)
+                continue
+            for digit in _draw_digits(rng, sizes, prod, total.size):
+                total += digit
+                np.maximum(top, digit, out=top)
     passes = maxes.view(np.int64) + 1
     sums = sums.view(np.int64)
     plain, early, variant = (opcounts_from_stats(n, passes, sums, v) for v in VARIANTS)

@@ -150,7 +150,8 @@ def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
     """Exact law of the pairwise match count by full enumeration.
 
     One `np.indices` call lays out the product space, a contiguous row per entry in
-    the narrowest unsigned dtype; match counts take the narrowest that holds C(m+1, 2).
+    the narrowest unsigned dtype; match counts take the narrowest that holds C(m+1, 2),
+    and each of the C(m+1, 2) + 1 values is counted in them, without a wider copy.
     """
     family, limit = _match_kind(kind)
     check_enumeration_n(kind, n, limit)
@@ -166,8 +167,9 @@ def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
     for a in range(cols):
         for b in range(a + 1, cols):
             counts += states[a] == states[b]
-    tally = np.bincount(counts)
-    return {k: tally[k] / total for k in range(len(tally)) if tally[k]}
+    # one count per match value: np.bincount would copy the narrow counts to intp
+    tally = (np.count_nonzero(counts == k) for k in range(cols * (cols - 1) // 2 + 1))
+    return {k: np.float64(c) / total for k, c in enumerate(tally) if c}
 
 
 def tv_exact_enumerated(kind: str, n: int, m: int) -> float:

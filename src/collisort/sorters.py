@@ -278,14 +278,14 @@ def sort_rows(rows, variant: str = "plain"):
         swapped = np.zeros(r, bool)
         for j in range(n - i):
             comparisons += running
-            swap = running & (a[j] > a[j + 1])
+            swap = a[j] > a[j + 1]  # a stopped row is sorted, so it never swaps
             swaps += swap
             if variant == "early_exit":
                 bools += swap
             elif variant == "early_exit_variant":
                 bools += swap & ~swapped  # the pass's single flag set
             swapped |= swap
-            a[j], a[j + 1] = np.where(swap, a[j + 1], a[j]), np.where(swap, a[j], a[j + 1])
+            a[j], a[j + 1] = np.minimum(a[j], a[j + 1]), np.maximum(a[j], a[j + 1])
         if variant != "plain":
             passes[running & ~swapped] = i
             running &= swapped

@@ -98,7 +98,7 @@ def test_law_tally_is_the_bincount_of_the_same_stream():
     for sid in range(4):
         tally = law_tally("pass", n, trials, SeededStream(11, sid))
         values = n - sample_pass_counts(n, trials, SeededStream(11, sid))
-        assert np.array_equal(tally, np.bincount(values, minlength=n))
+        assert np.array_equal(tally, np.bincount(values))
 
 
 # -- packed inversion-table draws -------------------------------------------------
@@ -311,6 +311,54 @@ def test_collision_sampler_memory_does_not_grow_with_n():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert c.size == 20 and c.min() >= 2 and c.max() <= n + 1
+
+
+def _traced_peak(call) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pass_sampler_draws_groups_in_parts():
+    # 10^6 rows: 8 MB each for the maxima and the running maxima, 4 MB of int32
+    # row indices; the digit buffers hold one part of 2^14 rows, not every row
+    peak = _traced_peak(lambda: sample_pass_counts(10**4, 10**6, SeededStream(5, 0)))
+    assert peak < 40 * 2**20
+
+
+def test_law_tally_grows_with_the_sample_not_with_n():
+    n = 10**7
+    tally = law_tally("collision", n, 1000, SeededStream(5, 0))
+    assert tally.size == tally.nonzero()[0].max() + 1 < n
+    assert _traced_peak(lambda: law_tally("collision", n, 1000, SeededStream(5, 0))) < 2**20
+
+
+def test_summary_pads_a_short_tally():
+    # a tally that ends at its largest value summarizes as one padded to the n lattice values
+    for kind, n in (("pass", 2), ("pass", 365), ("collision", 100), ("collision", 10**4)):
+        tally = law_tally(kind, n, 2000, SeededStream(6, n))
+        padded = np.zeros(exact.LATTICES[kind][1] + n, dtype=tally.dtype)
+        padded[: tally.size] = tally
+        assert summarize_law_tally(kind, n, tally) == summarize_law_tally(kind, n, padded)
+
+
+def test_groups_drawn_in_parts_see_the_same_values(monkeypatch):
+    # one part of 1001 rows against parts of 7 (the last one short); the groups of
+    # n = 7 and 12 pack products below 2^32, those of n = 13 and 30 above it
+    runs = []
+    for part_rows in (2**14, 7):
+        monkeypatch.setattr(montecarlo, "_PART_ROWS", part_rows)
+        runs.append([(sample_pass_counts(n, 1001, SeededStream(3, n)),
+                      *_table_stats(monkeypatch, n, 1001, SeededStream(4, n)))
+                     for n in (7, 12, 13, 30)])
+    for whole, parted in zip(*runs):
+        for a, b in zip(whole, parted):
+            assert np.array_equal(a, b)
 
 
 def test_empirical_law_rayleigh_bias_shrinks():

@@ -295,14 +295,14 @@ def test_match_count_laws_put_the_no_match_product_at_zero():
 
 def test_match_count_law_memory():
     # the birthday (6, 6) space has 6^7 = 279,936 states: seven uint8 rows of
-    # them and uint8 match counts take 2.1 MiB, np.bincount's intp copy 2.1 more
+    # them and uint8 match counts take 2.1 MiB, and the values are counted in them
     tracemalloc.start()
     try:
         match_count_law("birthday", 6, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < 3 * 2**20
 
 
 def test_tv_distance_helper():
