@@ -160,9 +160,9 @@ def _draw_digits(rng: np.random.Generator, sizes, prod: int, rows: int):
 
 
 def _digit_sums(rng: np.random.Generator, sizes, prod: int, total: np.ndarray) -> None:
-    """Add to each row of the uint64 ``total`` (one part of the caller's
-    rows, as in `_draw_digits`) the digit sum of its value drawn as in
-    `_draw_digits`, without forming the digits.
+    """Add to each row of the uint64 ``total``, one part of the caller's
+    rows, the digit sum of its value drawn as in `_draw_digits`, without
+    forming the digits.
 
     With quotients q_0 = v and q_j = q_{j-1} // s_j for the sizes s_j
     taken from the last to the second, the digits sum to
@@ -184,8 +184,9 @@ def sample_pass_counts(n: int, trials: int, stream: SeededStream) -> np.ndarray:
     for the rows whose running maximum can still grow (max < its largest
     support - 1); a row is frozen as soon as it cannot, since every later
     support is smaller still.  A group is drawn part by part (`_parts`), so
-    the digit buffers hold 2^14 rows whatever the trial count, and the rows
-    still active are indexed in the narrowest signed dtype that holds them.
+    the digit buffers hold at most 2^14 rows whatever the trial count, and
+    the rows still active are indexed in the narrowest signed dtype that
+    holds them.
     """
     if n < 1 or trials < 1:
         raise ValueError("need n >= 1 and trials >= 1")
@@ -415,11 +416,11 @@ def empirical_opcounts(
     and the sum of its inversion table, through the per-permutation
     identities of `sorters.opcounts_from_stats`, which the exhaustive small-n
     suite verifies exactly.  The table is drawn several entries per random
-    value and part by part, as in `sample_pass_counts`, and every row draws
-    every entry, since the inversion sum needs all of them; the maximum stops being
-    taken once every row has reached a group's largest value, which no
-    later entry can pass, and from then on each group adds its digit sum
-    through `_digit_sums`.
+    value and part by part, as in `sample_pass_counts`, and every row
+    draws every entry, since the inversion sum needs all of them; the
+    maximum stops being taken once every row has reached a group's largest
+    value, which no later entry can pass, and from then on each group adds
+    its digit sum through `_digit_sums`.
     """
     if n < 2 or trials < 1:
         raise ValueError("need n >= 2 and trials >= 1")
