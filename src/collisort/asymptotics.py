@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -343,14 +343,11 @@ def scaled_pass_charfn_approx(n: int, t: float) -> complex:
     return first + second
 
 
-@dataclass(frozen=True)
-class ApproxStats:
+class ApproxStats(namedtuple("ApproxStats",
+                             "mean_approx second_moment_approx variance_approx n")):
     """Truncated mean / second moment / variance of the scaled pass statistic."""
 
-    mean_approx: float
-    second_moment_approx: float
-    variance_approx: float
-    n: int
+    __slots__ = ()
 
 
 def scaled_pass_stats_approx(n: int) -> ApproxStats:
@@ -362,18 +359,15 @@ def scaled_pass_stats_approx(n: int) -> ApproxStats:
         (_moment, "pass", 1, 4), (_moment, "pass", 2, 4), (_pass_variance, 4))), n)
 
 
-@dataclass(frozen=True)
-class ExpectedOpDeltas:
+class ExpectedOpDeltas(namedtuple("ExpectedOpDeltas", "comparison_reduction "
+                                  "flag_writes_early_exit flag_writes_variant n")):
     """Expected operation-count changes of the early-exit sorts vs plain.
 
     comparison_reduction applies identically to both early-exit variants;
     flag_writes_* are the added boolean assignments.
     """
 
-    comparison_reduction: float
-    flag_writes_early_exit: float
-    flag_writes_variant: float
-    n: int
+    __slots__ = ()
 
     @classmethod
     def from_moments(cls, n: int, e1: float, e2: float) -> ExpectedOpDeltas:

@@ -9,7 +9,7 @@ a rate like the exponential law's ``lam``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .hpreal import hp
 
@@ -19,31 +19,37 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 ERFI_MAX_ARG = 12.0
 
 
-@dataclass(frozen=True)
-class PoissonLaw:
-    lam: float
+class PoissonLaw(namedtuple("PoissonLaw", "lam")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError(f"Poisson rate must be >= 0, got {self.lam}")
+    def __new__(cls, lam: float):
+        if not lam >= 0.0:
+            raise ValueError(f"Poisson rate must be >= 0, got {lam}")
+        return super().__new__(cls, lam)
 
-
-@dataclass(frozen=True)
-class ExponentialLaw:
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"exponential rate must be > 0, got {self.lam}")
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class RayleighLaw:
-    sigma: float
+class ExponentialLaw(namedtuple("ExponentialLaw", "lam")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"Rayleigh scale must be > 0, got {self.sigma}")
+    def __new__(cls, lam: float):
+        if not lam > 0.0:
+            raise ValueError(f"exponential rate must be > 0, got {lam}")
+        return super().__new__(cls, lam)
+
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
+class RayleighLaw(namedtuple("RayleighLaw", "sigma")):
+    __slots__ = ()
+
+    def __new__(cls, sigma: float):
+        if not sigma > 0.0:
+            raise ValueError(f"Rayleigh scale must be > 0, got {sigma}")
+        return super().__new__(cls, sigma)
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def poisson_pmf(law: PoissonLaw, k: int) -> float:

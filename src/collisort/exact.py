@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,27 +29,27 @@ SURVIVAL_FLOOR = 1e-40  # every survival walk stops after its first term below t
 _MAX_MOMENT_ORDER = 8  # highest moment order, exact and asymptotic
 
 
-@dataclass(frozen=True)
-class ProblemSize:
+class ProblemSize(namedtuple("ProblemSize", "n m")):
     """Year length / sequence length n and probe depth m."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.m <= self.n:
-            raise ValueError(f"m must satisfy 0 <= m <= n, got m={self.m}, n={self.n}")
+    def __new__(cls, n: int, m: int):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not 0 <= m <= n:
+            raise ValueError(f"m must satisfy 0 <= m <= n, got m={m}, n={n}")
+        return super().__new__(cls, n, m)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Cross-estimation report: exact probability ratio vs asymptotic formula."""
+class EstimateReport(namedtuple("EstimateReport",
+                                "exact_ratio asymptotic_formula_value relative_error")):
+    """Cross-estimation report: exact probability ratio (HPReal) vs asymptotic
+    formula; relative_error is float(exact_ratio) - 1."""
 
-    exact_ratio: HPReal
-    asymptotic_formula_value: float
-    relative_error: float  # float(exact_ratio) - 1
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +248,13 @@ def optimal_shift(n: int, m: int) -> tuple[int, float]:
         raise ValueError(f"needs 1 <= m < n, got m={m}, n={n}")
     target = pass_cdf(n, m)
     best_k = 0
-    best_dev = math.inf
+    best_dev = None
     for k in range(0, m):
         if n - k <= m:
             continue  # collision estimate degenerate below year length m+1
-        dev = abs(float(collision_sf(n - k, m) / target) - 1.0)
-        if dev < best_dev:
+        # in double-double: at large n the deviations fall below a float's ulp of 1
+        dev = (collision_sf(n - k, m) / target - 1.0).abs()
+        if best_dev is None or dev < best_dev:
             best_dev = dev
             best_k = k
     return best_k, (m - 1) / 3.0

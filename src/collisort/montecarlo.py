@@ -24,7 +24,7 @@ drawn for every row at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,30 +46,21 @@ LAW_KINDS = tuple(exact.LATTICES)
 MATCH_KINDS = tuple(MATCH_FAMILIES)
 
 
-@dataclass(frozen=True)
-class SeededStream:
-    seed: int = DEFAULT_SEED
-    stream_id: int = 0
+class SeededStream(namedtuple("SeededStream", "seed stream_id",
+                              defaults=(DEFAULT_SEED, 0))):
+    __slots__ = ()
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class EmpiricalSummary:
-    kind: str
-    n: int
-    m: int | None
-    sample_count: int
-    mean: float
-    variance: float
-    se_mean: float
-    ks_exact: float | None = None
-    ks_rayleigh: float | None = None
-    tv_distance: float | None = None
-    tv_se: float | None = None
-    reference_mu: float | None = None
+class EmpiricalSummary(namedtuple(
+        "EmpiricalSummary", "kind n m sample_count mean variance se_mean ks_exact "
+        "ks_rayleigh tv_distance tv_se reference_mu", defaults=(None,) * 5)):
+    """m and the five trailing fields are None where the summary has none."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ which is computable from the support sizes alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # both walk the space {0..n-1}^(m+1)
 ENUM_INVERSION_N = 8
 
 
-@dataclass(frozen=True)
-class DissociatedFamily:
+class DissociatedFamily(namedtuple("DissociatedFamily", "supports")):
     """Pair-match indicators among independent uniforms on nested supports.
 
     Entry i (1-based) is uniform on {0..supports[i-1] - 1}; the supports
@@ -39,22 +38,23 @@ class DissociatedFamily:
     triple with probability 1/(product of the two larger supports).
     """
 
-    supports: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = self.supports
+    def __new__(cls, supports: tuple[int, ...]):
+        s = supports
         if any(size < 1 for size in s) or any(a < b for a, b in zip(s, s[1:])):
             raise ValueError(f"supports must be positive and non-increasing, got {s}")
+        return super().__new__(cls, supports)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class SteinChenReport:
-    mu: float
-    tv_bound: float
-    hypothesis_sq: float  # |T| * sum of squared pair means
-    hypothesis_triple: float  # sum over ordered overlapping triples
-    squared_means_sum: float
-    cross_means_sum: float
+class SteinChenReport(namedtuple("SteinChenReport", "mu tv_bound hypothesis_sq "
+                                 "hypothesis_triple squared_means_sum cross_means_sum")):
+    """hypothesis_sq is |T| times the sum of squared pair means, and
+    hypothesis_triple the sum over ordered overlapping triples."""
+
+    __slots__ = ()
 
 
 def birthday_family(n: int, m: int) -> DissociatedFamily:

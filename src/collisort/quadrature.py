@@ -9,7 +9,7 @@ tolerance budget.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 
 def _legendre(k: int, x: float) -> tuple[float, float]:

@@ -27,11 +27,10 @@ smallest signed integer types that hold their values.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import permutations as _permutations, product as _product
-from typing import Iterable, Sequence
 
 ENUM_PASS_LIMIT = 10
 ENUM_BIRTHDAY_LIMIT = 6
@@ -51,22 +50,21 @@ def check_enumeration_n(what: str, n: int, limit: int) -> None:
         raise ResourceBoundError(f"{what} enumeration bounded at n <= {limit}")
 
 
-@dataclass(frozen=True)
-class OpCounts:
+class OpCounts(namedtuple("OpCounts", "comparisons swaps bool_assignments passes")):
     """Counts of one run; fields may also be equal-shape integer arrays of
     many runs, as ``opcounts_from_stats`` gives for array arguments."""
 
-    comparisons: int
-    swaps: int
-    bool_assignments: int
-    passes: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        c, s, b, p = self.comparisons, self.swaps, self.bool_assignments, self.passes
+    def __new__(cls, comparisons, swaps, bool_assignments, passes):
+        c, s, b, p = comparisons, swaps, bool_assignments, passes
         if _any((c < 0) | (s < 0) | (b < 0) | (p < 0)):
             raise ValueError("operation counts must be nonnegative")
         if _any(s > c):
             raise ValueError("swaps cannot exceed comparisons")
+        return super().__new__(cls, c, s, b, p)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
 def _any(flags) -> bool:

@@ -16,19 +16,17 @@ paper-values, enumeration, asymptotic-orders and optimal-shift run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import asymptotics, exact, sorters
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    status: str  # PASS | FAIL | NOTE
-    observed: str
-    expected: str
-    detail: str = ""
+class ClaimResult(namedtuple("ClaimResult", "claim_id status observed expected detail",
+                             defaults=("",))):
+    """status is PASS, FAIL or NOTE; every field is a str."""
+
+    __slots__ = ()
 
     @property
     def failed(self) -> bool:

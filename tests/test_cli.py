@@ -230,6 +230,17 @@ def test_simulate_randomize_replaces_the_default_seed(capsys):
     assert isinstance(seed, int) and seed != montecarlo.DEFAULT_SEED
 
 
+def test_simulate_seed_with_randomize_is_usage_error(capsys):
+    # --randomize would drop the given seed without a word
+    for flags in (("--seed", "7", "--randomize"), ("--randomize", "--seed", "0")):
+        code, out, err = run_cli(capsys, "simulate", "law", "--n", "100", "--trials", "1000",
+                                 *flags)
+        assert (code, out) == (EXIT_USAGE, "")
+        payload = json.loads(err)
+        assert payload["kind"] == "usage"
+        assert "--seed" in payload["error"] and "--randomize" in payload["error"]
+
+
 def test_approx_varrho_off_lattice_has_no_exact_column(capsys):
     # x*sqrt(n) = 0.5 lies halfway between lattice points 0 and 1
     code, out, _ = run_cli(capsys, "approx", "varrho", "--n", "10000", "--x", "0.005")

@@ -344,6 +344,16 @@ def test_optimal_shift_cases():
     assert asym == 3.0
 
 
+def test_optimal_shift_matches_fraction_argmin_at_large_n():
+    # the deviations here fall far below a float's ulp of 1 (8.1e-39 at the argmin,
+    # 8.2e-20 next), so a float ratio minus 1 loses the argmin
+    n, m = 10**11, 40
+    target = pass_cdf_fraction(n, m)
+    best = min(range(m), key=lambda k: abs(collision_sf_fraction(n - k, m) / target - 1))
+    assert best == 13
+    assert optimal_shift(n, m)[0] == best
+
+
 # -- moments of the scaled statistics -----------------------------------------
 
 

@@ -1,7 +1,6 @@
 """Instrumented sorts, inversion tables, and exhaustive enumerations."""
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -201,8 +200,8 @@ def test_sort_rows_matches_reference(n):
         out, counts = sort_rows(rows, variant)
         ref = [bubble_sort_instrumented(p, variant) for p in rows.tolist()]
         assert out.tolist() == [list(p) for p, _ in ref]
-        for f in fields(OpCounts):
-            assert getattr(counts, f.name).tolist() == [getattr(c, f.name) for _, c in ref]
+        for name in OpCounts._fields:
+            assert getattr(counts, name).tolist() == [getattr(c, name) for _, c in ref]
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)
