@@ -17,10 +17,11 @@ quadrature.  Only `simulate` and the `verify` suites that the
 
 Of the standard library, `import collisort.cli` loads argparse, json,
 decimal and fractions, with collections, re, functools and enum beneath
-them; an `exact` or `approx` command adds only cmath, and the shutil and
-locale that argparse imports while it builds the parser.  No module
+them.  An `exact` or `approx` command adds cmath, importlib (which resolves
+the lazy names of `collisort`), and the shutil and locale that argparse
+imports while it builds the parser.  No module
 imports dataclasses, which would bring inspect, ast, dis and tokenize
-(about 10 ms in a fresh interpreter): the value records are
+(about 6 ms in a fresh interpreter): the value records are
 `collections.namedtuple` classes, and annotations take `collections.abc`,
 not typing.
 """
