@@ -9,6 +9,9 @@ seeds default to a fixed constant (pass --randomize for entropy seeding).
 Exit codes: 0 ok, 1 assertion or claim failure, 2 usage error,
 3 resource-bound error, 4 internal error (an unexpected exception; it is
 reported as {"error": ..., "kind": "internal"} and never as a failed claim).
+`verify` reads no number, so any exception raised inside a suite, a
+ValueError or a ResourceBoundError too, is an internal error; only its
+--suite and --output-path checks give a usage error.
 
 Each command imports only the modules it uses: `exact` loads hpreal,
 powersums and exact; `approx` adds asymptotics, distributions and
@@ -272,10 +275,17 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
 # ---------------------------------------------------------------------------
 
 
+class _Defect(Exception):
+    """Wraps an exception that no argument can have caused, so it exits 4 whatever its type."""
+
+
 def _cmd_verify(args) -> tuple[list[dict], int]:
     from . import verification
 
-    results = verification.run_suite(args.suite)
+    try:
+        results = verification.run_suite(args.suite)
+    except Exception as exc:  # the suites are fixed: no error inside one is the caller's
+        raise _Defect from exc
     code = EXIT_FAILURE if any(c.failed for c in results) else EXIT_OK
     return [c._asdict() for c in results], code
 
@@ -432,6 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, ResourceBoundError):
             print(json.dumps({"error": str(exc), "kind": "resource"}), file=sys.stderr)
             return EXIT_RESOURCE
+        if isinstance(exc, _Defect):
+            exc = exc.__cause__
         # a crash must not read as a failed claim (exit 1)
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}),
               file=sys.stderr)

@@ -3,9 +3,11 @@
 Two numeric backends back every quantity: `fractions.Fraction` for exact
 rational oracles (practical up to n of a few hundred) and double-double
 HPReal for production evaluation at any n.  Both laws are the probability
-that m+1 uniform draws on nested supports s_0 <= ... <= s_m hold no match,
-prod_{k=1..m} (s_k - k)/s_k, over the supports of poisson_approx's
-birthday_family (s_k = n) and inversion_family (s_k = n-m+k):
+that m+1 uniform draws on nested supports s_0 >= ... >= s_m hold no match,
+prod_{k=1..m} (s_(m-k) - k)/s_(m-k).  This module owns both families'
+supports, which poisson_approx's Stein-Chen families and montecarlo's table
+samplers also read: `birthday_supports` (s_i = n) and `inversion_supports`
+(s_i = n - i):
 
     collision survival  P{C_n > m+1} = prod_{k=1..m} (1 - k/n)
     pass-count CDF      P{P_n <= n-m} = prod_{k=1..m} (1 - k/(n-m+k))
@@ -62,49 +64,55 @@ class EstimateReport(namedtuple("EstimateReport",
 _INT_RATIO_DIGITS = 280
 
 
+def birthday_supports(n: float, m: int) -> tuple:
+    """Supports of the first m+1 birthday draws: n days each; n may be a real
+    year length."""
+    return (n,) * (m + 1)
+
+
+def inversion_supports(n: int, m: int) -> range:
+    """Supports of the first m+1 inversion-table entries, n, n-1, ..., n-m:
+    entry i is uniform on {0..n-i}.  A range, so it stays lazy at sampler sizes."""
+    return range(n, n - m - 1, -1)
+
+
 def _no_match(supports) -> HPReal:
-    """prod_{k=1..m} (s_k - k)/s_k over nondecreasing supports (s_1, ..., s_m).
+    """prod_{k=1..m} (s_(m-k) - k)/s_(m-k) over nonincreasing supports
+    (s_0, ..., s_m): walked from the smallest, the draw on s_(m-k) misses the
+    k values drawn before it.
 
     One exact integer ratio (one rounding step) at integer supports whose
     product fits float range; otherwise, and at a real year length, factor
     by factor.  Empty product 1 at m = 0."""
-    m = len(supports)
-    if m and isinstance(supports[-1], int) and m * math.log10(supports[-1]) < _INT_RATIO_DIGITS:
-        return (HPReal.from_int(math.prod(s - k for k, s in enumerate(supports, 1)))
-                / HPReal.from_int(math.prod(supports)))
+    walk = supports[-2::-1]  # s_(m-1), ..., s_0
+    m = len(walk)
+    if m and isinstance(supports[0], int) and m * math.log10(supports[0]) < _INT_RATIO_DIGITS:
+        return (HPReal.from_int(math.prod(s - k for k, s in enumerate(walk, 1)))
+                / HPReal.from_int(math.prod(walk)))
     prod = hp(1.0)
-    for k, s in enumerate(supports, 1):
+    for k, s in enumerate(walk, 1):
         prod = prod * (hp(s - k) / s)
     return prod
 
 
 def collision_sf(n: int, m: int) -> HPReal:
-    """P{C_n > m+1}: the first m+1 draws from n days are all distinct.
-
-    The product prod_{k=1..m} (1 - k/n) is grouped as the exact integer
-    ratio (n-1)...(n-m) / n^m when that fits float range (one rounding
-    step); otherwise the factors (n-k)/n are accumulated one by one.
-    Empty product 1 at m=0; exactly 0 once m >= n (pigeonhole).
-    """
+    """P{C_n > m+1}: the first m+1 draws from n days are all distinct, the
+    no-match product (n-1)...(n-m) / n^m; exactly 0 once m >= n (pigeonhole)."""
     if n < 1 or m < 0:
         raise ValueError("collision_sf needs n >= 1 and m >= 0")
     if m >= n:
         return hp(0.0)
-    return _no_match((n,) * m)
+    return _no_match(birthday_supports(n, m))
 
 
 def pass_cdf(n: int, m: int) -> HPReal:
-    """P{P_n <= n-m} for bubble sort of n distinct elements.
-
-    Equals (n-m)^m (n-m)!/n!, grouped as the exact integer ratio
-    (n-m)^m / ((n-m+1)...(n)) when that fits float range; otherwise the
-    factors (n-m)/(n-m+k) are accumulated to stay in range.
-    """
+    """P{P_n <= n-m} for bubble sort of n distinct elements: the no-match
+    product (n-m)^m (n-m)!/n! of the first m+1 inversion-table entries."""
     if n < 1 or m < 0:
         raise ValueError("pass_cdf needs n >= 1 and m >= 0")
     if m >= n:
         raise ValueError(f"pass_cdf requires m < n (P_n >= 1 always); got m={m}, n={n}")
-    return _no_match(range(n - m + 1, n + 1))
+    return _no_match(inversion_supports(n, m))
 
 
 def collision_sf_fraction(n: int, m: int) -> Fraction:
@@ -206,7 +214,7 @@ def _estimate(year: float, n: int, m: int, formula: float) -> EstimateReport:
     denom = pass_cdf(n, m)
     if float(denom) == 0.0:
         raise ZeroDivisionError("pass_cdf vanished; ratio undefined")
-    ratio = _no_match((year,) * m) / denom
+    ratio = _no_match(birthday_supports(year, m)) / denom
     return EstimateReport(ratio, formula, float(ratio) - 1.0)
 
 

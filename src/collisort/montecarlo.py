@@ -4,10 +4,10 @@ Streams are PCG64 generators keyed by (seed, stream_id) through numpy's
 SeedSequence spawn keys, so distinct stream ids give independent-quality
 substreams and identical ids reproduce draws bit for bit.  Permutation
 statistics are sampled through inversion tables (entry i uniform on
-{0..n-i}), the same provenance used by the exact laws.  First collisions
-are sampled with each row's days relabelled in order of first appearance,
-so a step compares one uniform draw with the count of days seen and no
-row keeps state that grows with n.
+{0..n-i}), on the supports `exact.inversion_supports` gives the exact
+laws.  First collisions are sampled with each row's days relabelled in
+order of first appearance, so a step compares one uniform draw with the
+count of days seen and no row keeps state that grows with n.
 
 The numpy kernels spend as little arithmetic per table entry as they can
 without changing a draw: table values are drawn as uint64 and split into
@@ -88,7 +88,7 @@ def sample_inversion_table(n: int, stream: SeededStream) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = stream.generator()
-    return tuple(int(rng.integers(0, n - i + 1)) for i in range(1, n + 1))
+    return tuple(int(rng.integers(0, s)) for s in exact.inversion_supports(n, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,8 @@ def sample_inversion_table(n: int, stream: SeededStream) -> tuple[int, ...]:
 
 
 def _check_bound(what: str, n: int, trials: int, count: int) -> None:
-    """Refuse a call that would use more than _MAX_DRAWS values, before it allocates."""
+    """Refuse a call that would use more than _MAX_DRAWS values or tally cells,
+    before it allocates."""
     if count > _MAX_DRAWS:
         raise ResourceBoundError(
             f"{what} at n={n} with trials={trials} needs about {count} values, "
@@ -108,7 +109,7 @@ def _support_groups(n: int):
     """Cut the inversion-table supports n, n-1, ..., 1 into consecutive runs
     whose product stays at or below _PACK_LIMIT; yield (sizes, product)."""
     sizes, prod = [], 1
-    for s in range(n, 0, -1):
+    for s in exact.inversion_supports(n, n - 1):
         if sizes and prod * s > _PACK_LIMIT:
             yield sizes, prod
             sizes, prod = [], 1
@@ -340,7 +341,8 @@ def empirical_pair_matches(
         raise ValueError(f"kind must be one of {MATCH_KINDS}")
     if trials < 1000:
         raise ValueError("need trials >= 1000")
-    _check_bound("pair-match simulation", n, trials, (m + 1) * trials)
+    # the draws, or the 1 + C(m+1, 2) tally cells once m > 2 trials
+    _check_bound("pair-match simulation", n, trials, max((m + 1) * trials, 1 + m * (m + 1) // 2))
     family = match_family(kind, n, m)
     mu = stein_chen_bound(family).mu
     cols = m + 1

@@ -3,7 +3,9 @@
 A family holds independent entries U_1, ..., U_t, entry i uniform on
 {0..s_i - 1}, with support sizes s_1 >= s_2 >= ... >= s_t >= 1, so each
 support lies inside every earlier one.  Birthday draws have every s_i = n;
-inversion-table entries have s_i = n - i + 1.  The count W of matching
+inversion-table entries have s_i = n - i + 1; both lists come from `exact`
+(`birthday_supports`, `inversion_supports`), which states them for the exact
+laws too.  The count W of matching
 pairs {i, j} (U_i = U_j) sums dissociated indicators: collections living
 on disjoint index sets are independent.  By Arratia, Goldstein and Gordon
 (1989) the total-variation distance between W and the Poisson law with
@@ -12,7 +14,8 @@ the same mean is bounded by
     (1 - e^-mu)/mu * [ sum (E D)^2
                        + sum over overlapping pairs (E D E D' + E(D D'))]
 
-which is computable from the support sizes alone.
+which is computable from the support sizes alone.  Only `match_count_law`,
+which enumerates, imports numpy, when it runs.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from .distributions import PoissonLaw, poisson_pmf_vector
+from .exact import birthday_supports, inversion_supports
 from .sorters import ENUM_BIRTHDAY_LIMIT, ResourceBoundError, check_enumeration_n
 
 ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # both walk the space {0..n-1}^(m+1)
@@ -61,7 +63,7 @@ def birthday_family(n: int, m: int) -> DissociatedFamily:
     """Match indicators among the first m+1 uniform draws on n days."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return DissociatedFamily((n,) * (m + 1))
+    return DissociatedFamily(birthday_supports(n, m))
 
 
 def inversion_family(n: int, m: int) -> DissociatedFamily:
@@ -71,7 +73,7 @@ def inversion_family(n: int, m: int) -> DissociatedFamily:
         raise ValueError("need n >= 1 and m >= 0")
     if m + 1 > n:
         raise ValueError(f"inversion family needs m+1 <= n, got m={m}, n={n}")
-    return DissociatedFamily(tuple(range(n, n - m - 1, -1)))
+    return DissociatedFamily(tuple(inversion_supports(n, m)))
 
 
 # each match kind: its family and the largest n that `match_count_law` enumerates
@@ -153,6 +155,8 @@ def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
     the narrowest unsigned dtype; match counts take the narrowest that holds C(m+1, 2),
     and each of the C(m+1, 2) + 1 values is counted in them, without a wider copy.
     """
+    import numpy as np
+
     family, limit = _match_kind(kind)
     check_enumeration_n(kind, n, limit)
     if m > n:

@@ -7,6 +7,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from collisort import cli, montecarlo
@@ -275,6 +276,60 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "exact", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["exact", "pass-cdf", "--n", "10", "--m", "3"])
+
+
+def test_pair_match_tally_over_the_bound_is_a_resource_error(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_MAX_DRAWS", 4_000_000)  # below the 4.5e6 tally cells
+    code, out, err = run_cli(capsys, "simulate", "delta", "--kind", "birthday", "--n", "365",
+                             "--m", "2999", "--trials", "1000")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert json.loads(err)["kind"] == "resource"
+
+
+# Mutants of montecarlo for the verify exit code: each raises a ValueError deep
+# inside a sampler, which no argument of `verify` can have caused.
+def _pass_count_plus_two(sample_pass_counts):
+    """Mutant A: the pass count is the table maximum + 2."""
+    def mutant(n, trials, stream):
+        return sample_pass_counts(n, trials, stream) + 1
+    return mutant
+
+
+def _digit_sum_dropping_a_quotient(rng, sizes, prod, total):
+    """Mutant F: `montecarlo._digit_sums` without its last quotient term."""
+    v = rng.integers(0, prod, size=total.size, dtype=np.uint64)
+    total += v
+    scratch = np.empty_like(v)
+    for s in sizes[:1:-1]:
+        np.floor_divide(v, np.uint64(s), out=v)
+        np.multiply(v, np.uint64(s - 1), out=scratch)
+        total -= scratch
+
+
+@pytest.mark.parametrize("name, mutant, message", [
+    ("sample_pass_counts", _pass_count_plus_two(montecarlo.sample_pass_counts),
+     "ValueError: 'list' argument must have no negative elements"),
+    ("_digit_sums", _digit_sum_dropping_a_quotient,
+     "ValueError: swaps cannot exceed comparisons"),
+], ids=["A-pass-count", "F-digit-sum"])
+def test_verify_defect_is_internal_error_not_usage(capsys, monkeypatch, name, mutant, message):
+    monkeypatch.setattr(montecarlo, name, mutant)
+    code, out, err = run_cli(capsys, "verify", "--suite", "montecarlo")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    payload = json.loads(err)
+    assert payload["kind"] == "internal" and payload["error"].startswith(message)
+
+
+def test_verify_resource_error_inside_a_suite_is_internal(capsys, monkeypatch):
+    from collisort import sorters, verification
+
+    def refuse():
+        raise sorters.ResourceBoundError("too large")
+
+    monkeypatch.setitem(verification.SUITES, "paper-values", refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", "paper-values")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert json.loads(err) == {"error": "ResourceBoundError: too large", "kind": "internal"}
 
 
 _EXACT_TARGETS = ("collision-sf", "pass-cdf", "series", "sandwich", "relerr",

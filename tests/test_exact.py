@@ -3,7 +3,7 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product as cartesian
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 from collisort.exact import (
     LATTICES,
     SURVIVAL_FLOOR,
+    _INT_RATIO_DIGITS,
     ProblemSize,
     _abel_tail,
+    _no_match,
+    birthday_supports,
     collision_sf,
     collision_sf_fraction,
     collision_sf_series,
     collision_survival_sequence,
+    inversion_supports,
     optimal_shift,
     pass_cdf,
     pass_cdf_fraction,
@@ -107,6 +111,42 @@ def test_hp_matches_fraction_within_err_beyond_60(n, m):
     assert abs(hp_c.to_fraction() - collision_sf_fraction(n, m)) <= hp_c.err
     hp_p = pass_cdf(n, m)
     assert abs(hp_p.to_fraction() - pass_cdf_fraction(n, m)) <= hp_p.err
+
+
+def test_supports_of_both_families():
+    assert birthday_supports(5, 3) == (5, 5, 5, 5)
+    assert birthday_supports(364.5, 0) == (364.5,)
+    assert inversion_supports(6, 3) == range(6, 2, -1)
+    assert list(inversion_supports(4, 3)) == [4, 3, 2, 1]  # a whole table: entry i on {0..n-i}
+    assert len(inversion_supports(10**12, 10**12 - 1)) == 10**12  # lazy
+
+
+def _no_match_fraction(supports) -> Fraction:
+    """Literal product: from the smallest support up, draw k+1 misses the k before it."""
+    prod = Fraction(1)
+    for k, s in enumerate(reversed(supports)):
+        prod *= (Fraction(s) - k) / Fraction(s)
+    return prod
+
+
+@pytest.mark.parametrize("supports", [
+    (9, 9, 7, 4, 4, 2),  # one integer ratio
+    (10**9,) * 40,  # factor by factor: 39 * 9 digits
+    (364.5,) * 23,  # a real year length, factor by factor
+    (2**52, 2**40, 10**9, 1000, 7),
+    (5,),  # m = 0
+])
+def test_no_match_on_general_nested_supports(supports):
+    value = _no_match(supports)
+    assert abs(value.to_fraction() - _no_match_fraction(supports)) <= value.err
+
+
+def test_no_match_literal_product_counts_distinct_draws():
+    supports = (9, 9, 7, 4, 4, 2)
+    distinct = sum(len(set(draw)) == len(supports)
+                   for draw in cartesian(*(range(s) for s in supports)))
+    assert _no_match_fraction(supports) == Fraction(distinct, math.prod(supports))
+    assert (len(supports) - 1) * math.log10(9) < _INT_RATIO_DIGITS <= 39 * 9
 
 
 def test_pass_cdf_factorial_form_up_to_60():

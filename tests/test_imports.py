@@ -128,6 +128,22 @@ print(before, "numpy" in sys.modules, empirical_law.__module__)
     assert out.split() == ["False", "True", "collisort.montecarlo"]
 
 
+def test_stein_chen_families_and_bounds_run_without_numpy():
+    out = _python("""
+import json, sys
+from collisort import poisson_approx as pa
+steps = ["numpy" in sys.modules]
+for family in (pa.birthday_family(365, 22), pa.inversion_family(365, 22)):
+    report = pa.stein_chen_bound(family)
+    pa.tv_distance_to_poisson({0: 0.5, 1: 0.5}, report.mu)
+steps.append("numpy" in sys.modules)
+pa.match_count_law("birthday", 4, 3)
+steps.append("numpy" in sys.modules)
+print(json.dumps(steps))
+""")
+    assert json.loads(out) == [False, False, True]
+
+
 def test_public_names_resolve_and_are_listed():
     out = _python(f"""
 import json, collisort

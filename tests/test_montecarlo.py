@@ -479,6 +479,13 @@ def test_pair_matches_resource_guard():
         empirical_pair_matches("birthday", 10**6, 10**5, 10**6, SeededStream())
 
 
+def test_pair_match_tally_cells_count_toward_the_bound(monkeypatch):
+    # (365, 2999) at 1000 trials: 3.0e6 draws, but 1 + C(3000, 2) = 4,498,501 tally cells
+    monkeypatch.setattr(montecarlo, "_MAX_DRAWS", 4_000_000)
+    with pytest.raises(ResourceBoundError, match=r"n=365 with trials=1000 needs about 4498501"):
+        empirical_pair_matches("birthday", 365, 2999, 1000, SeededStream())
+
+
 def test_samplers_refuse_before_allocating():
     for call in (lambda: sample_pass_counts(10**11, 10**5, SeededStream()),
                  lambda: sample_collision_counts(10**11, 10**5, SeededStream()),
