@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # Every public name, and each module's own name, resolves on first access
 # (PEP 562), so a process loads only the modules it uses: `collisort exact`
 # loads hpreal, powersums and exact, which owns the nested supports that
-# poisson_approx and montecarlo read too.  numpy, which montecarlo imports
-# and poisson_approx only to enumerate, stays out of every `exact` and
+# poisson_approx and montecarlo read too.  numpy, which only montecarlo
+# (and the batch forms of sorters) imports, stays out of every `exact` and
 # `approx` command.
 _LAZY = {name: module for module, names in {
     "distributions": """ExponentialLaw PoissonLaw RayleighLaw erfi exponential_sf

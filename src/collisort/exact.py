@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -66,8 +67,8 @@ _INT_RATIO_DIGITS = 280
 
 def birthday_supports(n: float, m: int) -> tuple:
     """Supports of the first m+1 birthday draws: n days each; n may be a real
-    year length."""
-    return (n,) * (m + 1)
+    year length, and an integer n of any type becomes a Python int."""
+    return (operator.index(n) if hasattr(type(n), "__index__") else n,) * (m + 1)
 
 
 def inversion_supports(n: int, m: int) -> range:

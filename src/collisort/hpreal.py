@@ -14,6 +14,7 @@ eventually hi) underflows; err absorbs those losses, so values below
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -194,6 +195,8 @@ class HPReal:
             return HPReal(other)
         if isinstance(other, Fraction):
             return HPReal.from_fraction(other)
+        if hasattr(type(other), "__index__"):  # any other integer type, numpy's too
+            return HPReal.from_int(operator.index(other))
         return NotImplemented
 
     def __add__(self, other) -> "HPReal":

@@ -14,18 +14,18 @@ the same mean is bounded by
     (1 - e^-mu)/mu * [ sum (E D)^2
                        + sum over overlapping pairs (E D E D' + E(D D'))]
 
-which is computable from the support sizes alone.  Only `match_count_law`,
-which enumerates, imports numpy, when it runs.
+which is computable from the support sizes alone.  The exact law of W, for
+the distance itself, comes from one integer sweep over the values.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .distributions import PoissonLaw, poisson_pmf_vector
 from .exact import birthday_supports, inversion_supports
-from .sorters import ENUM_BIRTHDAY_LIMIT, ResourceBoundError, check_enumeration_n
+from .sorters import ENUM_BIRTHDAY_LIMIT, check_enumeration_n
 
 ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # both walk the space {0..n-1}^(m+1)
 ENUM_INVERSION_N = 8
@@ -149,31 +149,25 @@ def poisson_limit_functionals(family: DissociatedFamily) -> tuple[float, float]:
 
 
 def match_count_law(kind: str, n: int, m: int) -> dict[int, float]:
-    """Exact law of the pairwise match count by full enumeration.
-
-    One `np.indices` call lays out the product space, a contiguous row per entry in
-    the narrowest unsigned dtype; match counts take the narrowest that holds C(m+1, 2),
-    and each of the C(m+1, 2) + 1 values is counted in them, without a wider copy.
-    """
-    import numpy as np
-
+    """Exact law of the pairwise match count W, by one sweep over the values v
+    from the largest support - 1 down to 0: c of the e unvalued entries whose
+    support exceeds v take v in C(e, c) ways and add c(c-1)/2 to W, so a partial
+    tuple needs only its state (entries valued, W).  Each P(W = w) is one
+    correctly rounded quotient of exact integers."""
     family, limit = _match_kind(kind)
     check_enumeration_n(kind, n, limit)
     if m > n:
         raise ValueError("need m <= n")
     supports = family(n, m).supports
-    total = math.prod(supports)
-    if total > 2_000_000:
-        raise ResourceBoundError(f"product space of {total} states too large")
-    cols = len(supports)
-    states = np.indices(supports, dtype=np.min_scalar_type(supports[0] - 1)).reshape(cols, total)
-    counts = np.zeros(total, dtype=np.min_scalar_type(cols * (cols - 1) // 2))
-    for a in range(cols):
-        for b in range(a + 1, cols):
-            counts += states[a] == states[b]
-    # one count per match value: np.bincount would copy the narrow counts to intp
-    tally = (np.count_nonzero(counts == k) for k in range(cols * (cols - 1) // 2 + 1))
-    return {k: np.float64(c) / total for k, c in enumerate(tally) if c}
+    ways = Counter({(0, 0): 1})  # (entries valued, W) -> partial tuples
+    for v in range(supports[0] - 1, -1, -1):
+        eligible, swept = sum(size > v for size in supports), Counter()
+        for (valued, w), count in ways.items():
+            for c in range(eligible - valued + 1):
+                swept[valued + c, w + c * (c - 1) // 2] += count * math.comb(eligible - valued, c)
+        ways = swept
+    total, t = math.prod(supports), len(supports)
+    return {w: count / total for (valued, w), count in sorted(ways.items()) if valued == t}
 
 
 def tv_exact_enumerated(kind: str, n: int, m: int) -> float:

@@ -7,10 +7,9 @@ than asserted: the flag-write count of the single-set early-exit variant
 is 2P-1 per run, one below the commonly quoted 2P.
 
 Only the suites that draw or enumerate with numpy load it, when they run:
-stein-chen, rayleigh-ks and montecarlo import montecarlo, and stein-chen
-enumerates match counts with `poisson_approx.match_count_law`, the one
-function of poisson_approx that needs numpy (its families read the supports
-of `exact`); inversion-lemma, opcount-lemmas and its subset lemma-8-4 walk
+stein-chen, rayleigh-ks and montecarlo import montecarlo (stein-chen to
+sample the match counts of SC-BOUND-MC-365-22; poisson_approx needs no numpy);
+inversion-lemma, opcount-lemmas and its subset lemma-8-4 walk
 the permutations of n <= 8 as numpy batches through the batch forms of
 `sorters`.  paper-values, enumeration, asymptotic-orders and optimal-shift
 run without it.

@@ -87,6 +87,16 @@ def pair_match_counts_by_columns(draws):
     return matches
 
 
+def match_count_law_enumerated(supports) -> dict[int, float]:
+    """Law of the pair-match count among independent uniforms, entry i on
+    {0..supports[i-1] - 1}, by laying out every state of the product space
+    with np.indices and comparing every column pair."""
+    total = math.prod(supports)
+    states = np.indices(supports).reshape(len(supports), total).T
+    tally = np.bincount(pair_match_counts_by_columns(states))
+    return {k: float(np.float64(count) / total) for k, count in enumerate(tally) if count}
+
+
 # -- match indicators among independent uniforms on nested supports ----------
 # supports[i - 1] is the support size of entry i (1-based), non-increasing
 

@@ -121,6 +121,36 @@ def test_supports_of_both_families():
     assert len(inversion_supports(10**12, 10**12 - 1)) == 10**12  # lazy
 
 
+def _bits(value):
+    """(hi, lo, err) of each HPReal in a result; other fields as they are."""
+    if hasattr(value, "err"):
+        return value.hi, value.lo, value.err
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+@pytest.mark.parametrize("fn, n, m", [
+    (collision_sf, 365, 22),
+    (scaled_pass_moment, 1000, 1),
+    (scaled_collision_moment, 1000, 1),
+    (relative_error_common, 365, 22),
+    (optimal_shift, 365, 22),
+    (sandwich_bounds, 365, 22),
+])
+def test_numpy_integer_n_gives_the_int_result(fn, n, m):
+    np = pytest.importorskip("numpy")
+    if hasattr(fn, "cache_clear"):  # np.int64(n) == n, so a cached int result would answer
+        fn.cache_clear()
+    assert _bits(fn(np.int64(n), m)) == _bits(fn(n, m))
+
+
+def test_birthday_supports_of_an_integer_n_are_ints():
+    np = pytest.importorskip("numpy")
+    assert [type(s) for s in birthday_supports(np.int64(365), 2)] == [int] * 3
+    assert [type(s) for s in birthday_supports(365.0, 1)] == [float] * 2
+
+
 def _no_match_fraction(supports) -> Fraction:
     """Literal product: from the smallest support up, draw k+1 misses the k before it."""
     prod = Fraction(1)

@@ -141,7 +141,23 @@ pa.match_count_law("birthday", 4, 3)
 steps.append("numpy" in sys.modules)
 print(json.dumps(steps))
 """)
-    assert json.loads(out) == [False, False, True]
+    assert json.loads(out) == [False, False, False]
+
+
+def test_every_poisson_approx_function_runs_without_numpy():
+    out = _python("""
+import json, sys
+from collisort import poisson_approx as pa
+for kind in ("birthday", "inversion"):
+    family = pa.match_family(kind, 6, 4)
+    pa.DissociatedFamily(family.supports)
+    pa.poisson_limit_functionals(family)
+    report = pa.stein_chen_bound(family)
+    pa.tv_distance_to_poisson(pa.match_count_law(kind, 6, 4), report.mu)
+    pa.tv_exact_enumerated(kind, 6, 4)
+print(json.dumps("numpy" in sys.modules))
+""")
+    assert json.loads(out) is False
 
 
 def test_public_names_resolve_and_are_listed():

@@ -23,7 +23,14 @@ from collisort.poisson_approx import (
     tv_exact_enumerated,
 )
 from collisort.sorters import ResourceBoundError
-from oracles import cross_means_direct, family_pairs, ordered_triple_sum, pair_mean, triple_mean
+from oracles import (
+    cross_means_direct,
+    family_pairs,
+    match_count_law_enumerated,
+    ordered_triple_sum,
+    pair_mean,
+    triple_mean,
+)
 
 
 # -- family moments ---------------------------------------------------------------
@@ -293,9 +300,41 @@ def test_match_count_laws_put_the_no_match_product_at_zero():
             assert law.get(0, 0.0) == float(pass_cdf_fraction(n, m)), (n, m)
 
 
+def test_match_count_law_sweep_equals_enumeration():
+    # every enumerable instance: the sweep's quotients against the np.indices
+    # layout of the whole product space, key for key and bit for bit
+    instances = [("birthday", n, m) for n in range(1, ENUM_BIRTHDAY_N + 1) for m in range(n + 1)]
+    instances += [("inversion", n, m) for n in range(1, ENUM_INVERSION_N + 1) for m in range(n)]
+    assert len(instances) == 63
+    for kind, n, m in instances:
+        law = match_count_law(kind, n, m)
+        assert law == match_count_law_enumerated(match_family(kind, n, m).supports), (kind, n, m)
+        assert list(law) == sorted(law)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    (("birthday", 0, 3), ValueError, "need n >= 1, got n=0"),
+    (("inversion", 0, 0), ValueError, "need n >= 1, got n=0"),
+    (("birthday", ENUM_BIRTHDAY_N + 1, 2), ResourceBoundError,
+     f"birthday enumeration bounded at n <= {ENUM_BIRTHDAY_N}"),
+    (("inversion", ENUM_INVERSION_N + 1, 2), ResourceBoundError,
+     f"inversion enumeration bounded at n <= {ENUM_INVERSION_N}"),
+    (("birthday", 3, 5), ValueError, "need m <= n"),
+    (("inversion", 4, 5), ValueError, "need m <= n"),
+    (("inversion", 4, 4), ValueError, "inversion family needs m+1 <= n, got m=4, n=4"),
+    (("birthday", 3, -1), ValueError, "need n >= 1 and m >= 0"),
+    (("x", 3, 1), ValueError, "unknown kind 'x'"),
+])
+def test_match_count_law_refusals(args, error, message):
+    with pytest.raises(error) as info:
+        match_count_law(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_match_count_law_memory():
-    # the birthday (6, 6) space has 6^7 = 279,936 states: seven uint8 rows of
-    # them and uint8 match counts take 2.1 MiB, and the values are counted in them
+    # the sweep keeps one integer count per (entries valued, matches) state,
+    # at most 8 x 22 of them for birthday (6, 6), and never lays out the
+    # 6^7 = 279,936 states of the product space
     tracemalloc.start()
     try:
         match_count_law("birthday", 6, 6)
