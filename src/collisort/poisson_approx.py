@@ -27,7 +27,7 @@ from .distributions import PoissonLaw, poisson_pmf_vector
 from .exact import birthday_supports, inversion_supports
 from .sorters import ENUM_BIRTHDAY_LIMIT, check_enumeration_n
 
-ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # both walk the space {0..n-1}^(m+1)
+ENUM_BIRTHDAY_N = ENUM_BIRTHDAY_LIMIT  # the birthday survival oracle's limit too
 ENUM_INVERSION_N = 8
 
 
@@ -76,7 +76,7 @@ def inversion_family(n: int, m: int) -> DissociatedFamily:
     return DissociatedFamily(tuple(inversion_supports(n, m)))
 
 
-# each match kind: its family and the largest n that `match_count_law` enumerates
+# each match kind: its family and the largest n that `match_count_law` takes
 MATCH_FAMILIES = {"birthday": (birthday_family, ENUM_BIRTHDAY_N),
                   "inversion": (inversion_family, ENUM_INVERSION_N)}
 

@@ -94,7 +94,7 @@ def match_count_law_enumerated(supports) -> dict[int, float]:
     total = math.prod(supports)
     states = np.indices(supports).reshape(len(supports), total).T
     tally = np.bincount(pair_match_counts_by_columns(states))
-    return {k: float(np.float64(count) / total) for k, count in enumerate(tally) if count}
+    return {k: float(count) / total for k, count in enumerate(tally) if count}
 
 
 # -- match indicators among independent uniforms on nested supports ----------
