@@ -301,9 +301,7 @@ def euler_maclaurin_residual(n: int, epsilon: float) -> float:
             break
         lattice_sum = lattice_sum + rho
 
-    integral = adaptive_quad(
-        lambda x: scaled_pass_survival_expansion(n, x), 0.0, cut, abs_tol=1e-14
-    )
+    integral = adaptive_quad(lambda x: scaled_pass_survival_expansion(n, x), 0.0, cut)
     fA = scaled_pass_survival_expansion(n, cut)
     (d1_0, d3_0), (d1_A, d3_A) = _expansion_slopes(n, 0.0), _expansion_slopes(n, cut)
     em = (

@@ -224,6 +224,7 @@ def relative_error_common(n: int, m: int) -> EstimateReport:
 
     Asymptotically (m-1)m(m+1) / (6 (n - m/2)^2).
     """
+    n, m = operator.index(n), operator.index(m)
     if not 1 <= m < n:
         raise ValueError(f"needs 1 <= m < n, got m={m}, n={n}")
     return _estimate(n, n, m, (m - 1) * m * (m + 1) / (6.0 * (n - m / 2.0) ** 2))
@@ -235,6 +236,7 @@ def relative_error_shifted(n: int, m: int) -> EstimateReport:
 
     Asymptotically -(m-1)m(m+1)(m+2)(2m+1) / (270 (n - (4m-1)/6)^4).
     """
+    n, m = operator.index(n), operator.index(m)
     if not 1 <= m < n:
         raise ValueError(f"needs 1 <= m < n, got m={m}, n={n}")
     shifted = n - (m - 1) / 3.0

@@ -96,12 +96,12 @@ def sample_inversion_table(n: int, stream: SeededStream) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _check_bound(what: str, n: int, trials: int, count: int) -> None:
-    """Refuse a call that would use more than _MAX_DRAWS values or tally cells,
-    before it allocates."""
+def _check_bound(what: str, n: int, trials: int, count: int, counted="random values") -> None:
+    """Refuse a call that would use more than _MAX_DRAWS of what it counted,
+    random values or tally cells, before it allocates."""
     if count > _MAX_DRAWS:
         raise ResourceBoundError(
-            f"{what} at n={n} with trials={trials} needs about {count} values, "
+            f"{what} at n={n} with trials={trials} needs about {count} {counted}, "
             f"over the bound of {_MAX_DRAWS}")
 
 
@@ -277,7 +277,7 @@ def law_tally(kind: str, n: int, trials: int, stream: SeededStream) -> np.ndarra
     if kind not in LAW_KINDS:
         raise ValueError(f"kind must be one of {LAW_KINDS}")
     # n + 1 cells bound the lattice walk of the summary; the tally ends at the largest value drawn
-    _check_bound(f"{kind} law tally", n, trials, n + 1)
+    _check_bound(f"{kind} law tally", n, trials, n + 1, "tally cells")
     if kind == "pass":
         values = sample_pass_counts(n, trials, stream)
         np.subtract(n, values, out=values)
@@ -341,8 +341,8 @@ def empirical_pair_matches(
         raise ValueError(f"kind must be one of {MATCH_KINDS}")
     if trials < 1000:
         raise ValueError("need trials >= 1000")
-    # the draws, or the 1 + C(m+1, 2) tally cells once m > 2 trials
-    _check_bound("pair-match simulation", n, trials, max((m + 1) * trials, 1 + m * (m + 1) // 2))
+    _check_bound("pair-match simulation", n, trials, (m + 1) * trials)
+    _check_bound("pair-match simulation", n, trials, 1 + m * (m + 1) // 2, "tally cells")
     family = match_family(kind, n, m)
     mu = stein_chen_bound(family).mu
     cols = m + 1

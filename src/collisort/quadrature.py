@@ -53,13 +53,14 @@ def _pair(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 _NOISE = 30.0 * 2.220446049250313e-16  # rounding floor of the pair difference
 _MAX_DEPTH = 30  # bisections before an interval is accepted as it stands
+_ABS_TOL = 1e-14  # absolute tolerance of adaptive_quad unless a caller sets one
 
 
 def adaptive_quad(
     f: Callable[[float], float],
     a: float,
     b: float,
-    abs_tol: float = 1e-14,
+    abs_tol: float = _ABS_TOL,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance ``abs_tol``.
 

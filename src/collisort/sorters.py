@@ -17,9 +17,10 @@ The scalar functions (``bubble_sort_instrumented``, ``pass_count``,
 ``_bubble_pass``, and the sorts count per pass, from its length and swaps.
 The batch forms ``sort_rows`` and ``inversion_tables`` take a 2-D integer
 array with one permutation per row and step every row in lockstep, one
-column pair at a time in the scalar pass and pair order; ``sort_rows``
-counts per comparison through per-row masks, a count independent of the
-scalar one, and its early-exit form gives the batch pass counts in its
+column pair at a time in the scalar pass and pair order.  The variants
+make the same swaps, so one ``sort_rows`` run counts all three, per
+comparison through a per-row running mask, a count independent of the
+scalar one; its early-exit counts give the batch pass counts in their
 ``passes``.  They import numpy when called and return arrays of the
 smallest signed integer types that hold their values.
 """
@@ -253,43 +254,41 @@ def _columns(rows):
     return np.array(a.T, dtype=np.min_scalar_type(-n), order="C")
 
 
-def sort_rows(rows, variant: str = "plain"):
-    """Batch form of bubble_sort_instrumented: (sorted rows, OpCounts of
-    per-row arrays).  The early-exit variants keep a per-row running mask,
-    cleared after a swap-free pass; the single-set variant also flags the
-    first swap of each pass."""
+def sort_rows(rows):
+    """Batch form of bubble_sort_instrumented: (sorted rows, {variant: OpCounts
+    of per-row arrays} for every name in VARIANTS).  Plain counts all n passes;
+    the early-exit variants count through a per-row running mask, cleared after
+    a swap-free pass, and the single-set one flags a pass's first swap only."""
     import numpy as np
 
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     a = _columns(rows)
     n, r = a.shape
     # signed counters, int16 or wider, holding n(n+1): the largest
     # intermediate of opcounts_from_stats on per-row arrays
     counter = np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
-    comparisons, swaps, bools = (np.zeros(r, counter) for _ in range(3))
+    comparisons, swaps, flags, single_flags = (np.zeros(r, counter) for _ in range(4))
     passes = np.full(r, n, counter)
     running = np.ones(r, bool)
+    compared = 0  # the plain sort's comparisons, the same in every row
     for i in range(1, n + 1):
-        if variant != "plain":
-            bools += running  # flag reset
+        flags += running  # flag reset
+        single_flags += running
         swapped = np.zeros(r, bool)
         for j in range(n - i):
+            compared += 1
             comparisons += running
             swap = a[j] > a[j + 1]  # a stopped row is sorted, so it never swaps
             swaps += swap
-            if variant == "early_exit":
-                bools += swap
-            elif variant == "early_exit_variant":
-                bools += swap & ~swapped  # the pass's single flag set
+            flags += swap
+            single_flags += swap & ~swapped  # the pass's single flag set
             swapped |= swap
             a[j], a[j + 1] = np.minimum(a[j], a[j + 1]), np.maximum(a[j], a[j + 1])
-        if variant != "plain":
-            passes[running & ~swapped] = i
-            running &= swapped
-            if not running.any():
-                break
-    return np.ascontiguousarray(a.T), OpCounts(comparisons, swaps, bools, passes)
+        passes[running & ~swapped] = i
+        running &= swapped
+    plain = (np.full(r, compared, counter), swaps, np.zeros(r, counter), np.full(r, n, counter))
+    return np.ascontiguousarray(a.T), dict(zip(VARIANTS, (
+        OpCounts(*plain), OpCounts(comparisons, swaps, flags, passes),
+        OpCounts(comparisons, swaps, single_flags, passes))))
 
 
 def inversion_tables(rows):

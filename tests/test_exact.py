@@ -145,6 +145,16 @@ def test_numpy_integer_n_gives_the_int_result(fn, n, m):
     assert _bits(fn(np.int64(n), m)) == _bits(fn(n, m))
 
 
+@pytest.mark.parametrize("fn", [relative_error_common, relative_error_shifted])
+def test_numpy_integer_n_gives_a_report_of_python_floats(fn):
+    np = pytest.importorskip("numpy")
+    got, want = fn(np.int64(365), 22), fn(365, 22)
+    for field in ("asymptotic_formula_value", "relative_error"):
+        assert type(getattr(got, field)) is float
+        assert getattr(got, field) == getattr(want, field)
+    assert _bits(got.exact_ratio) == _bits(want.exact_ratio)
+
+
 def test_birthday_supports_of_an_integer_n_are_ints():
     np = pytest.importorskip("numpy")
     assert [type(s) for s in birthday_supports(np.int64(365), 2)] == [int] * 3

@@ -482,8 +482,13 @@ def test_pair_matches_resource_guard():
 def test_pair_match_tally_cells_count_toward_the_bound(monkeypatch):
     # (365, 2999) at 1000 trials: 3.0e6 draws, but 1 + C(3000, 2) = 4,498,501 tally cells
     monkeypatch.setattr(montecarlo, "_MAX_DRAWS", 4_000_000)
-    with pytest.raises(ResourceBoundError, match=r"n=365 with trials=1000 needs about 4498501"):
+    with pytest.raises(ResourceBoundError,
+                       match=r"n=365 with trials=1000 needs about 4498501 tally cells"):
         empirical_pair_matches("birthday", 365, 2999, 1000, SeededStream())
+    # (365, 22) at 200,000 trials: 4.6e6 draws, but only 254 tally cells
+    with pytest.raises(ResourceBoundError,
+                       match=r"n=365 with trials=200000 needs about 4600000 random values"):
+        empirical_pair_matches("birthday", 365, 22, 200_000, SeededStream())
 
 
 def test_samplers_refuse_before_allocating():

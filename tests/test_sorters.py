@@ -196,19 +196,20 @@ BATCH_SIZES = [1, 2, 3, 4, 5, 6, 7, 24]
 @pytest.mark.parametrize("n", BATCH_SIZES)
 def test_sort_rows_matches_reference(n):
     rows = batch_rows(n)
+    out, counts = sort_rows(rows)
+    assert list(counts) == list(VARIANTS)
     for variant in VARIANTS:
-        out, counts = sort_rows(rows, variant)
         ref = [bubble_sort_instrumented(p, variant) for p in rows.tolist()]
         assert out.tolist() == [list(p) for p, _ in ref]
         for name in OpCounts._fields:
-            assert getattr(counts, name).tolist() == [getattr(c, name) for _, c in ref]
+            assert getattr(counts[variant], name).tolist() == [getattr(c, name) for _, c in ref]
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)
 def test_pass_counts_and_inversion_tables_match_reference(n):
     rows = batch_rows(n)
     perms = rows.tolist()
-    assert sort_rows(rows, "early_exit")[1].passes.tolist() == [pass_count(p) for p in perms]
+    assert sort_rows(rows)[1]["early_exit"].passes.tolist() == [pass_count(p) for p in perms]
     assert inversion_tables(rows).tolist() == [list(inversion_table(p)) for p in perms]
 
 
@@ -226,8 +227,6 @@ def test_batch_forms_reject_non_permutation_rows():
         for rows in not_rows:
             with pytest.raises(ValueError, match="2-D array"):
                 fn(rows)
-    with pytest.raises(ValueError, match="unknown variant"):
-        sort_rows(np.array([[1, 2]]), "bogus")
 
 
 # -- enumeration oracles ---------------------------------------------------------

@@ -20,19 +20,25 @@ STABLE_CLAIM_IDS = [
 
 
 def test_permutation_suites_share_one_walk(monkeypatch):
-    walked = []
-    original = sorters.all_permutations
+    walked, sorted_batches = [], []
+    original, original_sort = sorters.all_permutations, sorters.sort_rows
 
     def counted(n):
         walked.append(n)
         return original(n)
 
+    def counted_sort(*args):
+        sorted_batches.append(args[0].shape[1])
+        return original_sort(*args)
+
     monkeypatch.setattr(sorters, "all_permutations", counted)
+    monkeypatch.setattr(sorters, "sort_rows", counted_sort)
     verification._permutation_walk.cache_clear()
     lemma = verification.suite_lemma_8_4()
     opcounts = verification.suite_opcount_lemmas()
     maxv = verification.suite_inversion_lemma()
     assert walked == list(range(1, 9))
+    assert sorted_batches == list(range(1, 9))  # one sort counts every variant
     assert lemma == [c for c in opcounts if c.claim_id == "OPS-FLAGS-VARIANT-N8"]
     assert lemma[0].status == "NOTE"
     assert [c.claim_id for c in maxv] == ["LEMMA-MAXV-N8"]
