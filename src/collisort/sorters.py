@@ -266,7 +266,7 @@ def sort_rows(rows):
     # signed counters, int16 or wider, holding n(n+1): the largest
     # intermediate of opcounts_from_stats on per-row arrays
     counter = np.promote_types(np.int16, np.min_scalar_type(-n * (n + 1)))
-    comparisons, swaps, flags, single_flags = (np.zeros(r, counter) for _ in range(4))
+    comparisons, swaps, flags, single_flags, no_flags = (np.zeros(r, counter) for _ in range(5))
     passes = np.full(r, n, counter)
     running = np.ones(r, bool)
     compared = 0  # the plain sort's comparisons, the same in every row
@@ -285,9 +285,9 @@ def sort_rows(rows):
             a[j], a[j + 1] = np.minimum(a[j], a[j + 1]), np.maximum(a[j], a[j + 1])
         passes[running & ~swapped] = i
         running &= swapped
-    plain = (np.full(r, compared, counter), swaps, np.zeros(r, counter), np.full(r, n, counter))
+    plain = OpCounts(np.full(r, compared, counter), swaps, no_flags, np.full(r, n, counter))
     return np.ascontiguousarray(a.T), dict(zip(VARIANTS, (
-        OpCounts(*plain), OpCounts(comparisons, swaps, flags, passes),
+        plain, OpCounts(comparisons, swaps, flags, passes),
         OpCounts(comparisons, swaps, single_flags, passes))))
 
 
