@@ -436,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        # only sorters and the modules importing it raise ResourceBoundError
+        # a module raises ResourceBoundError only after importing sorters
         from .sorters import ResourceBoundError
 
         if isinstance(exc, ResourceBoundError):

@@ -77,16 +77,27 @@ def inversion_supports(n: int, m: int) -> range:
     return range(n, n - m - 1, -1)
 
 
-def _no_match(supports) -> HPReal:
-    """prod_{k=1..m} (s_(m-k) - k)/s_(m-k) over nonincreasing supports
-    (s_0, ..., s_m): walked from the smallest, the draw on s_(m-k) misses the
-    k values drawn before it.
+# a factor-by-factor walk takes about 8 us a factor, so about 8 s at this cap
+_WALK_LIMIT = 10**6
+
+
+def _no_match(supports_of, n, m: int) -> HPReal:
+    """prod_{k=1..m} (s_(m-k) - k)/s_(m-k) over the nonincreasing supports
+    (s_0, ..., s_m) = supports_of(n, m): walked from the smallest, the draw
+    on s_(m-k) misses the k values drawn before it.
 
     One exact integer ratio (one rounding step) at integer supports whose
     product fits float range; otherwise, and at a real year length, factor
-    by factor.  Empty product 1 at m = 0."""
+    by factor, refused as a resource bound past _WALK_LIMIT factors before
+    the supports are built.  Empty product 1 at m = 0."""
+    if m > _WALK_LIMIT:  # the integer ratio needs m < _INT_RATIO_DIGITS: a factor walk
+        from .sorters import ResourceBoundError
+
+        raise ResourceBoundError(
+            f"product form walks m={m} factors one by one; bounded at m <= {_WALK_LIMIT} "
+            "(the log-series forms take any m)")
+    supports = supports_of(n, m)
     walk = supports[-2::-1]  # s_(m-1), ..., s_0
-    m = len(walk)
     if m and isinstance(supports[0], int) and m * math.log10(supports[0]) < _INT_RATIO_DIGITS:
         return (HPReal.from_int(math.prod(s - k for k, s in enumerate(walk, 1)))
                 / HPReal.from_int(math.prod(walk)))
@@ -103,7 +114,7 @@ def collision_sf(n: int, m: int) -> HPReal:
         raise ValueError("collision_sf needs n >= 1 and m >= 0")
     if m >= n:
         return hp(0.0)
-    return _no_match(birthday_supports(n, m))
+    return _no_match(birthday_supports, n, m)
 
 
 def pass_cdf(n: int, m: int) -> HPReal:
@@ -113,7 +124,7 @@ def pass_cdf(n: int, m: int) -> HPReal:
         raise ValueError("pass_cdf needs n >= 1 and m >= 0")
     if m >= n:
         raise ValueError(f"pass_cdf requires m < n (P_n >= 1 always); got m={m}, n={n}")
-    return _no_match(inversion_supports(n, m))
+    return _no_match(inversion_supports, n, m)
 
 
 def collision_sf_fraction(n: int, m: int) -> Fraction:
@@ -215,7 +226,7 @@ def _estimate(year: float, n: int, m: int, formula: float) -> EstimateReport:
     denom = pass_cdf(n, m)
     if float(denom) == 0.0:
         raise ZeroDivisionError("pass_cdf vanished; ratio undefined")
-    ratio = _no_match(birthday_supports(year, m)) / denom
+    ratio = _no_match(birthday_supports, year, m) / denom
     return EstimateReport(ratio, formula, float(ratio) - 1.0)
 
 

@@ -22,7 +22,8 @@ make the same swaps, so one ``sort_rows`` run counts all three, per
 comparison through a per-row running mask, a count independent of the
 scalar one; its early-exit counts give the batch pass counts in their
 ``passes``.  They import numpy when called and return arrays of the
-smallest signed integer types that hold their values.
+smallest signed integer types that hold their values; so does
+``permutation_rows``, which builds their input, every permutation of 1..n.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import permutations as _permutations, product as _product
+from itertools import permutations as _permutations
 
 ENUM_PASS_LIMIT = 10
+# the birthday walk keeps each tuple of m + 1 <= n + 1 values as one byte, the
+# sum of 2^v over its values v < n: (n + 1) 2^(n - 1) = 224 < 256 at n = 6
 ENUM_BIRTHDAY_LIMIT = 6
+_POPCOUNT = bytes(x.bit_count() for x in range(256))  # a translate table
 
 VARIANTS = ("plain", "early_exit", "early_exit_variant")
 
@@ -338,18 +342,36 @@ def enumerate_collision_survival(n: int, m: int) -> Fraction:
     all distinct, by walking every tuple.
 
     Deliberately does no combinatorial shortcut: this is the independent
-    oracle the product formula is tested against.
+    oracle the product formula is tested against.  Each tuple is one byte,
+    the sum of 2^v over its values v; each level appends every value v to
+    every tuple through the table x -> x + 2^v.  The values are distinct
+    iff the sum has m+1 bits set, since a repeated value carries a bit away.
     """
     check_enumeration_n("birthday", n, ENUM_BIRTHDAY_LIMIT)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    count = 0
-    for tup in _product(range(n), repeat=m + 1):
-        if len(set(tup)) == m + 1:
-            count += 1
-    return Fraction(count, n ** (m + 1))
+    add = [bytes(range(1 << v, 256)) + bytes(range(1 << v)) for v in range(n)]
+    sums = b"\0"  # the empty tuple
+    for _ in range(m + 1):
+        sums = b"".join(sums.translate(t) for t in add)
+    return Fraction(sums.translate(_POPCOUNT).count(m + 1), n ** (m + 1))
 
 
 def all_permutations(n: int) -> Iterable[tuple[int, ...]]:
     """All permutations of 1..n."""
     return _permutations(range(1, n + 1))
+
+
+def permutation_rows(n: int):
+    """All n! permutations of 1..n, n <= 10, as the rows of an (n!, n) int8
+    array: the rows for n - 1 with n inserted at each of the n positions."""
+    import numpy as np
+
+    check_enumeration_n("permutation", n, ENUM_PASS_LIMIT)
+    rows = np.ones((1, 1), np.int8)
+    for k in range(2, n + 1):
+        grown = np.empty((k, len(rows), k), np.int8)
+        for i in range(k):  # k at position i
+            grown[i, :, :i], grown[i, :, i], grown[i, :, i + 1:] = rows[:, :i], k, rows[:, i:]
+        rows = grown.reshape(-1, k)
+    return rows

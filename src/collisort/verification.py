@@ -10,9 +10,10 @@ Only the suites that draw or enumerate with numpy load it, when they run:
 stein-chen, rayleigh-ks and montecarlo import montecarlo (stein-chen to
 sample the match counts of SC-BOUND-MC-365-22; poisson_approx needs no numpy);
 inversion-lemma, opcount-lemmas and its subset lemma-8-4 walk
-the permutations of n <= 8 as numpy batches through the batch forms of
-`sorters`.  paper-values, enumeration, asymptotic-orders and optimal-shift
-run without it.
+the permutations of n <= 8 as numpy batches, built by
+`sorters.permutation_rows`, through the batch forms of `sorters`.
+paper-values, enumeration (whose birthday walk keeps its tuples in bytes),
+asymptotic-orders and optimal-shift run without it.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def suite_enumeration() -> list[ClaimResult]:
 @lru_cache(maxsize=1)
 def _permutation_walk() -> tuple[int, int, int, int, int, int]:
     """One walk over the permutations of n <= 8 for three suites, one batch of rows
-    per n: the count, then the runs breaking each lemma (max entry, sorted,
-    `sorters.opcounts_from_stats` counts)."""
+    per n from `sorters.permutation_rows`: the count, then the runs breaking each
+    lemma (max entry, sorted, `sorters.opcounts_from_stats` counts)."""
     import numpy as np
 
     def count(flags) -> int:
@@ -110,8 +111,7 @@ def _permutation_walk() -> tuple[int, int, int, int, int, int]:
 
     total = bad_maxv = bad_sorted = bad_reduction = bad_flags = bad_variant = 0
     for n in range(1, 9):
-        rows = np.fromiter(sorters.all_permutations(n), np.dtype((np.int8, n)),
-                           math.factorial(n))
+        rows = sorters.permutation_rows(n)
         total += len(rows)
         out, counts = sorters.sort_rows(rows)
         bad_sorted += count((out != np.arange(1, n + 1)).any(axis=1))

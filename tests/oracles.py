@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -74,6 +75,13 @@ def erfi_series_frac(x: Fraction, terms: int = 60) -> Fraction:
             den *= i
         total += num / (den * (2 * k + 1))
     return total
+
+
+def collision_survival_by_tuples(n: int, m: int) -> Fraction:
+    """Share of the n^(m+1) tuples of values 0..n-1 whose m+1 entries are
+    distinct, walking every tuple as a Python tuple."""
+    distinct = sum(len(set(tup)) == m + 1 for tup in product(range(n), repeat=m + 1))
+    return Fraction(distinct, n ** (m + 1))
 
 
 def pair_match_counts_by_columns(draws):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -411,6 +412,21 @@ def test_huge_simulation_is_a_resource_error(capsys, argv):
     payload = json.loads(err)
     assert payload["kind"] == "resource"
     assert "n=100000000000" in payload["error"] and "trials=" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("approx", "cdf", "--n", str(2**60), "--x", "1.0"),  # m = 2^30 factors
+    ("exact", "collision-sf", "--n", str(10**12), "--m", "2000000"),
+])
+def test_long_product_walk_is_a_resource_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["kind"] == "resource"
+    assert "factors one by one; bounded at m <= 1000000" in payload["error"]
 
 
 def test_verify_paper_values(capsys):

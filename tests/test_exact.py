@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collisort import exact
 from collisort.exact import (
     LATTICES,
     SURVIVAL_FLOOR,
@@ -177,8 +178,26 @@ def _no_match_fraction(supports) -> Fraction:
     (5,),  # m = 0
 ])
 def test_no_match_on_general_nested_supports(supports):
-    value = _no_match(supports)
+    value = _no_match(lambda n, m: supports, supports[0], len(supports) - 1)
     assert abs(value.to_fraction() - _no_match_fraction(supports)) <= value.err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: collision_sf(10**12, 2 * 10**6),
+    lambda: pass_cdf(10**12, 2 * 10**6),
+    lambda: relative_error_common(10**12, 2 * 10**6),
+    lambda: collision_sf(2**60, 2**30),  # 2^30 supports would take 8 GiB
+])
+def test_product_forms_refuse_a_walk_past_the_cap(monkeypatch, call):
+    from collisort.sorters import ResourceBoundError
+
+    def unbuilt(n, m):
+        raise AssertionError(f"built {m + 1} supports past the cap")
+
+    monkeypatch.setattr(exact, "birthday_supports", unbuilt)
+    monkeypatch.setattr(exact, "inversion_supports", unbuilt)
+    with pytest.raises(ResourceBoundError, match=r"m=\d+ factors .* bounded at m <= 1000000"):
+        call()
 
 
 def test_no_match_literal_product_counts_distinct_draws():

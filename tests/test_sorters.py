@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from collisort import sorters
 from collisort.exact import collision_sf_fraction, pass_cdf_fraction
 from collisort.sorters import (
+    ENUM_BIRTHDAY_LIMIT,
     VARIANTS,
     OpCounts,
     ResourceBoundError,
@@ -29,8 +30,10 @@ from collisort.sorters import (
     pass_trace,
     passes_match_inversion_max,
     permutation_from_inversion_table,
+    permutation_rows,
     sort_rows,
 )
+from oracles import collision_survival_by_tuples
 
 RANDOM_CASES_N200 = 2000  # randomized correctness coverage beyond exhaustive n<=8
 
@@ -273,9 +276,32 @@ def test_enumerate_collision_survival_matches_product():
             assert enumerate_collision_survival(n, m) == collision_sf_fraction(n, m)
 
 
+def test_enumerate_collision_survival_equals_the_tuple_walk():
+    for n in range(1, ENUM_BIRTHDAY_LIMIT + 1):
+        for m in range(0, n + 1):
+            assert enumerate_collision_survival(n, m) == collision_survival_by_tuples(n, m)
+
+
+def test_birthday_bit_sums_fit_one_byte():
+    # m + 1 <= n + 1 values, each at most 2^(n - 1), at the largest n
+    assert (ENUM_BIRTHDAY_LIMIT + 1) << (ENUM_BIRTHDAY_LIMIT - 1) < 256
+
+
 def test_enumerate_collision_survival_resource_bound():
     with pytest.raises(ResourceBoundError):
         enumerate_collision_survival(7, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_rows_hold_each_permutation_once(n):
+    rows = permutation_rows(n)
+    assert rows.dtype == np.int8 and rows.shape == (math.factorial(n), n)
+    assert sorted(map(tuple, rows.tolist())) == sorted(all_permutations(n))
+
+
+def test_permutation_rows_resource_bound():
+    with pytest.raises(ResourceBoundError):
+        permutation_rows(11)
 
 
 # -- pairwise-match statistic -----------------------------------------------------
@@ -338,6 +364,7 @@ def test_pass_distinction_identity():
     # n = 0 is a bad argument, not a resource bound (exit 2, not 3)
     pytest.param(lambda: enumerate_pass_distribution(0), id="pass-enumeration-n-0"),
     pytest.param(lambda: enumerate_collision_survival(0, 0), id="collision-enumeration-n-0"),
+    pytest.param(lambda: permutation_rows(0), id="permutation-rows-n-0"),
 ])
 def test_sorters_refuse_bad_arguments(call):
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ STABLE_CLAIM_IDS = [
 
 def test_permutation_suites_share_one_walk(monkeypatch):
     walked, sorted_batches = [], []
-    original, original_sort = sorters.all_permutations, sorters.sort_rows
+    original, original_sort = sorters.permutation_rows, sorters.sort_rows
 
     def counted(n):
         walked.append(n)
@@ -31,7 +31,7 @@ def test_permutation_suites_share_one_walk(monkeypatch):
         sorted_batches.append(args[0].shape[1])
         return original_sort(*args)
 
-    monkeypatch.setattr(sorters, "all_permutations", counted)
+    monkeypatch.setattr(sorters, "permutation_rows", counted)
     monkeypatch.setattr(sorters, "sort_rows", counted_sort)
     verification._permutation_walk.cache_clear()
     lemma = verification.suite_lemma_8_4()
@@ -43,6 +43,14 @@ def test_permutation_suites_share_one_walk(monkeypatch):
     assert lemma[0].status == "NOTE"
     assert [c.claim_id for c in maxv] == ["LEMMA-MAXV-N8"]
     assert maxv[0].observed == "0 mismatches of 46233"
+
+
+def test_a_broken_distinctness_count_fails_the_birthday_claims(monkeypatch):
+    # one more bit per byte: the walk counts the sums with m set bits, not m + 1
+    monkeypatch.setattr(sorters, "_POPCOUNT", bytes(x.bit_count() + 1 for x in range(256)))
+    birthday = [c for c in verification.suite_enumeration() if c.claim_id.startswith("ENUM-BDAY")]
+    assert [c.claim_id for c in birthday] == [f"ENUM-BDAY-N{n}" for n in range(1, 7)]
+    assert all(c.status == "FAIL" for c in birthday)
 
 
 def test_run_all_returns_each_stable_claim_once():
