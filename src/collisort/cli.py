@@ -16,7 +16,10 @@ ValueError or a ResourceBoundError too, is an internal error; only its
 Each command imports only the modules it uses: `exact` loads hpreal,
 powersums and exact; `approx` adds asymptotics, distributions and
 quadrature.  Only `simulate` and the `verify` suites that the
-`verification` docstring names import numpy.
+`verification` docstring names import numpy.  `verify --suite all` on two
+or more usable CPUs starts one second interpreter for part of its suites
+(`verification.WORKER_SUITES`); each process imports numpy for the
+sampling suites it runs, and only this path imports subprocess.
 
 Of the standard library, `import collisort.cli` loads argparse, json,
 decimal and fractions, with collections, re, functools and enum beneath

@@ -81,6 +81,12 @@ def inversion_supports(n: int, m: int) -> range:
 _WALK_LIMIT = 10**6
 
 
+def _int_ratio(s, m: int) -> bool:
+    """Whether the product form of m factors over largest support s is one
+    exact integer ratio rather than a factor-by-factor walk."""
+    return bool(m) and isinstance(s, int) and m * math.log10(s) < _INT_RATIO_DIGITS
+
+
 def _no_match(supports_of, n, m: int) -> HPReal:
     """prod_{k=1..m} (s_(m-k) - k)/s_(m-k) over the nonincreasing supports
     (s_0, ..., s_m) = supports_of(n, m): walked from the smallest, the draw
@@ -98,7 +104,7 @@ def _no_match(supports_of, n, m: int) -> HPReal:
             "(the log-series forms take any m)")
     supports = supports_of(n, m)
     walk = supports[-2::-1]  # s_(m-1), ..., s_0
-    if m and isinstance(supports[0], int) and m * math.log10(supports[0]) < _INT_RATIO_DIGITS:
+    if _int_ratio(supports[0], m):
         return (HPReal.from_int(math.prod(s - k for k, s in enumerate(walk, 1)))
                 / HPReal.from_int(math.prod(walk)))
     prod = hp(1.0)
@@ -264,10 +270,22 @@ def optimal_shift(n: int, m: int) -> tuple[int, float]:
     """Best integer year-length shift k for the collision estimate.
 
     Brute-force argmin over k in [0, m) of |collision_sf(n-k, m)/pass_cdf(n, m) - 1|,
-    paired with the asymptotic value (m-1)/3.
+    paired with the asymptotic value (m-1)/3.  Refused as a resource bound,
+    before any walk, when the shifts walked factor by factor would take more
+    than _WALK_LIMIT factors in all.
     """
     if not 1 <= m < n:
         raise ValueError(f"needs 1 <= m < n, got m={m}, n={n}")
+    # the walked shifts are the largest year lengths, so the first _WALK_LIMIT // m + 1
+    # shifts show whether they pass the limit
+    cap = _WALK_LIMIT // m
+    walked = sum(n - k > m and not _int_ratio(n - k, m) for k in range(min(m, cap + 1)))
+    if walked > cap:
+        from .sorters import ResourceBoundError
+
+        raise ResourceBoundError(
+            f"optimal shift walks at least {walked * m} factors one by one (m={m} at each "
+            f"of {walked} shifts); bounded at {_WALK_LIMIT} factors in all")
     target = pass_cdf(n, m)
     best_k = 0
     best_dev = None

@@ -14,11 +14,22 @@ the permutations of n <= 8 as numpy batches, built by
 `sorters.permutation_rows`, through the batch forms of `sorters`.
 paper-values, enumeration (whose birthday walk keeps its tuples in bytes),
 asymptotic-orders and optimal-shift run without it.
+
+`run_suite("all")` runs in two processes when two or more CPUs are usable.
+Before numpy is first imported, it starts a second interpreter,
+`python -m collisort.verification` with the WORKER_SUITES (stein-chen,
+inversion-lemma, opcount-lemmas, rayleigh-ks) as arguments, which imports
+numpy for them and prints their claims as JSON. The calling process runs
+the other suites, of which only montecarlo loads numpy, and merges the
+claims. With one usable CPU, or no known interpreter, every suite runs in
+the calling process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
@@ -316,14 +327,71 @@ SUITES = {
 }
 
 
+# The suites `run_suite("all")` leaves to its second interpreter. Balanced on
+# CPU times per suite in one process with numpy preloaded (two runs, 2 CPUs):
+# stein-chen 317-342 ms, inversion-lemma 40-42, rayleigh-ks 24-26 and
+# opcount-lemmas under 1 (it reads the permutation walk) against montecarlo
+# 531-562, enumeration 35-36, asymptotic-orders 27, paper-values 5-6 and
+# optimal-shift 4; each process also imports numpy (155-219 ms). Suites that
+# share a cache stay in one lane: inversion-lemma and opcount-lemmas share
+# _permutation_walk, paper-values and montecarlo scaled_pass_moment(10^4, .).
+WORKER_SUITES = ("stein-chen", "inversion-lemma", "opcount-lemmas", "rayleigh-ks")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_suites(names) -> list[ClaimResult]:
+    return [c for name in names for c in SUITES[name]()]
+
+
+def _run_all() -> list[ClaimResult]:
+    names = [s for s in sorted(SUITES) if s != "lemma-8-4"]  # a subset of opcount-lemmas
+    if _usable_cpus() < 2 or not sys.executable:
+        return _run_suites(names)
+    import json
+    import subprocess
+
+    # the worker imports the collisort this process loaded, whatever its working
+    # directory (`-m` puts the directory it starts in first on sys.path)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
+    with subprocess.Popen([sys.executable, "-m", "collisort.verification", *WORKER_SUITES],
+                          cwd=root, env=env, stdin=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as worker:
+        try:
+            results = _run_suites([s for s in names if s not in WORKER_SUITES])
+            out, err = worker.communicate()
+        except BaseException:  # no worker outlives the call
+            worker.kill()
+            worker.wait()
+            raise
+    err = err.decode(errors="replace")
+    if worker.returncode:
+        last = err.strip().splitlines()[-1:] or ["no message"]
+        raise RuntimeError(f"verify lane {', '.join(WORKER_SUITES)} exited "
+                           f"{worker.returncode}: {last[0]}")
+    sys.stderr.write(err)  # the worker's warnings, as its suites would give them here
+    return results + [ClaimResult(*fields) for fields in json.loads(out)]
+
+
 def run_suite(name: str) -> list[ClaimResult]:
     if name == "all":
-        results = []
-        for suite_name in sorted(SUITES):
-            if suite_name == "lemma-8-4":  # subset of opcount-lemmas
-                continue
-            results.extend(SUITES[suite_name]())
-        return sorted(results, key=lambda c: c.claim_id)
+        return sorted(_run_all(), key=lambda c: c.claim_id)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return sorted(SUITES[name](), key=lambda c: c.claim_id)
+
+
+if __name__ == "__main__":  # the worker lane of run_suite("all"): its claims as JSON
+    import json
+
+    refused = [name for name in sys.argv[1:] if name not in SUITES]
+    if refused:
+        raise ValueError(f"unknown suite {refused[0]!r} for a verify lane; "
+                         f"choose from {sorted(SUITES)}")
+    sys.stdout.write(json.dumps([list(c) for c in _run_suites(sys.argv[1:])]))

@@ -417,6 +417,8 @@ def test_huge_simulation_is_a_resource_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("approx", "cdf", "--n", str(2**60), "--x", "1.0"),  # m = 2^30 factors
     ("exact", "collision-sf", "--n", str(10**12), "--m", "2000000"),
+    # 3000 shifts of 3000 factors each, each walk under the cap on one product form
+    ("exact", "optimal-shift", "--n", str(10**12), "--m", "3000"),
 ])
 def test_long_product_walk_is_a_resource_error(capsys, argv):
     start = time.perf_counter()
@@ -426,7 +428,9 @@ def test_long_product_walk_is_a_resource_error(capsys, argv):
     assert out == ""
     payload = json.loads(err)
     assert payload["kind"] == "resource"
-    assert "factors one by one; bounded at m <= 1000000" in payload["error"]
+    message = ("bounded at 1000000 factors in all" if argv[1] == "optimal-shift"
+               else "factors one by one; bounded at m <= 1000000")
+    assert message in payload["error"]
 
 
 def test_verify_paper_values(capsys):

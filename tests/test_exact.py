@@ -453,6 +453,21 @@ def test_optimal_shift_matches_fraction_argmin_at_large_n():
     assert optimal_shift(n, m)[0] == best
 
 
+def test_optimal_shift_bounds_the_factors_its_shifts_walk(monkeypatch):
+    # 40 factors take one integer ratio below year length 10^7 (40 * 7 digits = 280),
+    # so at n = 10^7 + 5 the shifts k = 0..5 walk 6 * 40 = 240 factors in all
+    from collisort.sorters import ResourceBoundError
+
+    n, m = 10**7 + 5, 40
+    shift = optimal_shift(n, m)
+    monkeypatch.setattr(exact, "_WALK_LIMIT", 240)
+    assert optimal_shift(n, m) == shift
+    monkeypatch.setattr(exact, "_WALK_LIMIT", 239)
+    monkeypatch.setattr(exact, "pass_cdf", None)  # refused before any walk
+    with pytest.raises(ResourceBoundError, match=r"at least 240 factors .* 6 shifts"):
+        optimal_shift(n, m)
+
+
 # -- moments of the scaled statistics -----------------------------------------
 
 

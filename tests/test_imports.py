@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the public names of collisort/__init__.py; the Monte Carlo and Poisson
@@ -115,6 +117,48 @@ for suite in {NUMPY_FREE_SUITES!r}:
 print(json.dumps([codes, "numpy" in sys.modules]))
 """)
     assert json.loads(out) == [[0] * len(NUMPY_FREE_SUITES), False]
+
+
+def test_cli_and_single_suite_verify_do_not_import_subprocess():
+    # only run_suite("all") starts a second interpreter, so only it imports subprocess
+    out = _python("""
+import contextlib, io, json, sys
+import collisort.cli
+loaded = ["subprocess" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert collisort.cli.main(["verify", "--suite", "paper-values"]) == 0
+loaded.append("subprocess" in sys.modules)
+print(json.dumps(loaded))
+""")
+    assert json.loads(out) == [False, False]
+
+
+def test_verify_all_closes_its_pipes_and_reaps_its_worker():
+    # -X dev reports an unclosed pipe or a child never waited for as a ResourceWarning
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-m", "collisort.cli", "verify", "--suite", "all"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(json.loads(proc.stdout)["rows"]) == 38
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_verify_all_pinned_to_one_cpu_starts_no_child():
+    out = _python("""
+import contextlib, io, json, os, subprocess
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+def refuse(*args, **kwargs):
+    raise AssertionError("started a child process")
+
+subprocess.Popen = refuse
+import collisort.cli
+with contextlib.redirect_stdout(io.StringIO()) as buf:
+    code = collisort.cli.main(["verify", "--suite", "all"])
+print(json.dumps([code, len(json.loads(buf.getvalue())["rows"])]))
+""")
+    assert json.loads(out) == [0, 38]
 
 
 def test_monte_carlo_name_loads_numpy():

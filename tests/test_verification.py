@@ -1,11 +1,16 @@
-"""Verification suites: stable claim IDs and the shared permutation walk."""
+"""Verification suites: stable claim IDs, the shared permutation walk, and the
+two lanes of `run_suite("all")`."""
 
 import ast
+import json
+import os
+import signal
+import subprocess
 from pathlib import Path
 
 import pytest
 
-from collisort import sorters, verification
+from collisort import cli, sorters, verification
 
 STABLE_CLAIM_IDS = [
     "ENUM-BDAY-N1", "ENUM-BDAY-N2", "ENUM-BDAY-N3", "ENUM-BDAY-N4", "ENUM-BDAY-N5",
@@ -77,3 +82,103 @@ def test_benchmark_pins_the_same_claim_ids():
 def test_verification_refuses_bad_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _serial_all():
+    claims = [c for name in sorted(verification.SUITES) if name != "lemma-8-4"
+              for c in verification.SUITES[name]()]
+    return sorted(claims, key=lambda c: c.claim_id)
+
+
+class _NoChild(subprocess.Popen):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("started a child process")
+
+
+def _record_children(monkeypatch) -> list:
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(subprocess, "Popen", _NoChild)
+
+
+def test_run_all_equals_the_serial_suites_on_both_paths(monkeypatch):
+    serial = _serial_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_usable_cpus", lambda: 2)
+        started = _record_children(patch)
+        two_lanes = verification.run_suite("all")
+    assert [worker.returncode for worker in started] == [0]
+    assert started[0].args[-len(verification.WORKER_SUITES):] == list(verification.WORKER_SUITES)
+    _one_cpu(monkeypatch)
+    assert two_lanes == serial
+    assert verification.run_suite("all") == serial
+
+
+def test_verify_all_stdout_is_the_same_on_both_paths(capsys, monkeypatch):
+    outputs = {}
+    for lanes in (2, 1):
+        with monkeypatch.context() as patch:
+            if lanes == 1:
+                _one_cpu(patch)
+            else:
+                patch.setattr(verification, "_usable_cpus", lambda: 2)
+            for fmt in ("json", "csv"):
+                assert cli.main(["verify", "--suite", "all", "--output", fmt]) == cli.EXIT_OK
+                outputs[lanes, fmt] = capsys.readouterr().out
+    assert outputs[2, "json"] == outputs[1, "json"]
+    assert outputs[2, "csv"] == outputs[1, "csv"]
+
+
+def test_a_refused_worker_lane_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verification, "WORKER_SUITES", ("no-such-suite",))
+    # the worker reads its own SUITES; this process runs one quick suite
+    monkeypatch.setattr(verification, "SUITES",
+                        {"optimal-shift": verification.suite_optimal_shift})
+    assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["kind"] == "internal"
+    assert payload["error"].startswith("RuntimeError: verify lane no-such-suite exited 1: "
+                                       "ValueError: unknown suite 'no-such-suite'")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_parent_lane_kills_and_reaps_the_worker(capsys, monkeypatch, exc):
+    def fail():
+        raise exc("parent lane")
+
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(verification.SUITES, "asymptotic-orders", fail)  # the first to run
+    started = _record_children(monkeypatch)
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "--suite", "all"])
+    else:
+        assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_INTERNAL
+        assert json.loads(capsys.readouterr().err)["error"] == "RuntimeError: parent lane"
+    (worker,) = started
+    assert worker.returncode == -signal.SIGKILL
+    assert worker.stdout.closed and worker.stderr.closed
+    with pytest.raises(ChildProcessError):  # reaped: no longer a child of this process
+        os.waitpid(worker.pid, os.WNOHANG)
+
+
+def test_single_suite_verify_starts_no_child(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(subprocess, "Popen", _NoChild)
+    for name in sorted(verification.SUITES):
+        assert cli.main(["verify", "--suite", name]) == cli.EXIT_OK, name
+    capsys.readouterr()
