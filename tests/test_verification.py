@@ -90,9 +90,8 @@ def _serial_all():
     return sorted(claims, key=lambda c: c.claim_id)
 
 
-class _NoChild(subprocess.Popen):
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("started a child process")
+def _no_child(*args, **kwargs):
+    raise AssertionError("started a child process")
 
 
 def _record_children(monkeypatch) -> list:
@@ -107,11 +106,6 @@ def _record_children(monkeypatch) -> list:
     return started
 
 
-def _one_cpu(monkeypatch):
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(subprocess, "Popen", _NoChild)
-
-
 def test_run_all_equals_the_serial_suites_on_both_paths(monkeypatch):
     serial = _serial_all()
     with monkeypatch.context() as patch:
@@ -120,7 +114,8 @@ def test_run_all_equals_the_serial_suites_on_both_paths(monkeypatch):
         two_lanes = verification.run_suite("all")
     assert [worker.returncode for worker in started] == [0]
     assert started[0].args[-len(verification.WORKER_SUITES):] == list(verification.WORKER_SUITES)
-    _one_cpu(monkeypatch)
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(subprocess, "Popen", _no_child)
     assert two_lanes == serial
     assert verification.run_suite("all") == serial
 
@@ -129,10 +124,9 @@ def test_verify_all_stdout_is_the_same_on_both_paths(capsys, monkeypatch):
     outputs = {}
     for lanes in (2, 1):
         with monkeypatch.context() as patch:
+            patch.setattr(verification, "_usable_cpus", lambda: lanes)
             if lanes == 1:
-                _one_cpu(patch)
-            else:
-                patch.setattr(verification, "_usable_cpus", lambda: 2)
+                patch.setattr(subprocess, "Popen", _no_child)
             for fmt in ("json", "csv"):
                 assert cli.main(["verify", "--suite", "all", "--output", fmt]) == cli.EXIT_OK
                 outputs[lanes, fmt] = capsys.readouterr().out
@@ -178,7 +172,7 @@ def test_a_failing_parent_lane_kills_and_reaps_the_worker(capsys, monkeypatch, e
 
 def test_single_suite_verify_starts_no_child(capsys, monkeypatch):
     monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(subprocess, "Popen", _NoChild)
+    monkeypatch.setattr(subprocess, "Popen", _no_child)
     for name in sorted(verification.SUITES):
         assert cli.main(["verify", "--suite", name]) == cli.EXIT_OK, name
     capsys.readouterr()
