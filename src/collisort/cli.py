@@ -17,9 +17,9 @@ Each command imports only the modules it uses: `exact` loads hpreal,
 powersums and exact; `approx` adds asymptotics, distributions and
 quadrature.  Only `simulate` and the `verify` suites that the
 `verification` docstring names import numpy.  `verify --suite all` on two
-or more usable CPUs starts one second interpreter for part of its suites
-(`verification.WORKER_SUITES`); each process imports numpy for the
-sampling suites it runs, and only this path imports subprocess.
+or more usable CPUs forks one worker, before numpy is imported, for part of
+its claims (`verification.WORKER_GROUPS`); each process imports numpy for
+the sampling claims it runs.  No command imports subprocess.
 
 Of the standard library, `import collisort.cli` loads argparse, json,
 decimal and fractions, with collections, re, functools and enum beneath

@@ -357,11 +357,6 @@ def enumerate_collision_survival(n: int, m: int) -> Fraction:
     return Fraction(sums.translate(_POPCOUNT).count(m + 1), n ** (m + 1))
 
 
-def all_permutations(n: int) -> Iterable[tuple[int, ...]]:
-    """All permutations of 1..n."""
-    return _permutations(range(1, n + 1))
-
-
 def permutation_rows(n: int):
     """All n! permutations of 1..n, n <= 10, as the rows of an (n!, n) int8
     array: the rows for n - 1 with n inserted at each of the n positions."""

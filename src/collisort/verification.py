@@ -15,20 +15,20 @@ the permutations of n <= 8 as numpy batches, built by
 paper-values, enumeration (whose birthday walk keeps its tuples in bytes),
 asymptotic-orders and optimal-shift run without it.
 
-`run_suite("all")` runs in two processes when two or more CPUs are usable.
-Before numpy is first imported, it starts a second interpreter,
-`python -m collisort.verification` with the WORKER_SUITES (stein-chen,
-inversion-lemma, opcount-lemmas, rayleigh-ks) as arguments, which imports
-numpy for them and prints their claims as JSON. The calling process runs
-the other suites, of which only montecarlo loads numpy, and merges the
-claims. With one usable CPU, or no known interpreter, every suite runs in
-the calling process.
+`run_suite("all")` forks where it can: with os.fork, two or more usable
+CPUs, numpy not yet imported and no other thread, as in a fresh `collisort
+verify --suite all`.  The worker runs the claim groups of WORKER_GROUPS and
+writes their claims as JSON to a pipe; the caller runs the other groups,
+checks between them that the worker has not failed, and merges the claims.
+Elsewhere, Windows among them, every group runs in the calling process.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import signal
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -290,27 +290,32 @@ def suite_optimal_shift() -> list[ClaimResult]:
     return out
 
 
-def suite_montecarlo() -> list[ClaimResult]:
+def _mc_pass_law_ks() -> list[ClaimResult]:
     from . import montecarlo
 
-    law_trials, opcount_trials = 10**5, 10**4
-    out = []
-    n = 10**4
-    seed = montecarlo.DEFAULT_SEED
-    summary = montecarlo.empirical_law("pass", n, law_trials, montecarlo.SeededStream(seed, 0))
-    crit = montecarlo.ks_critical_1pct(law_trials)
-    out.append(_check("MC-PASS-LAW-KS", summary.ks_exact < crit,
-                      f"{summary.ks_exact:.5f}", f"< {crit:.5f}",
-                      "KS vs exact finite-n law, 1% critical value"))
+    trials = 10**5
+    summary = montecarlo.empirical_law("pass", 10**4, trials,
+                                       montecarlo.SeededStream(montecarlo.DEFAULT_SEED, 0))
+    crit = montecarlo.ks_critical_1pct(trials)
+    return [_check("MC-PASS-LAW-KS", summary.ks_exact < crit, f"{summary.ks_exact:.5f}",
+                   f"< {crit:.5f}", "KS vs exact finite-n law, 1% critical value")]
 
-    counters = montecarlo.empirical_opcounts(n, opcount_trials, montecarlo.SeededStream(seed, 1))
+
+def _mc_opcount_means() -> list[ClaimResult]:
+    from . import montecarlo
+
+    n, trials = 10**4, 10**4
+    counters = montecarlo.empirical_opcounts(
+        n, trials, montecarlo.SeededStream(montecarlo.DEFAULT_SEED, 1))
     deviations = montecarlo.opcount_deviations(n, counters)
     ok = not any(dev > montecarlo.OPCOUNT_SE for _, dev in deviations.values())
     details = [f"{name}: {dev:.2f} se" for name, (_, dev) in deviations.items()]
-    out.append(_check("MC-OPCOUNT-MEANS", ok, "; ".join(details),
-                      f"each within {montecarlo.OPCOUNT_SE:g} se",
-                      f"n={n}, trials={opcount_trials}"))
-    return out
+    return [_check("MC-OPCOUNT-MEANS", ok, "; ".join(details),
+                   f"each within {montecarlo.OPCOUNT_SE:g} se", f"n={n}, trials={trials}")]
+
+
+def suite_montecarlo() -> list[ClaimResult]:
+    return _mc_pass_law_ks() + _mc_opcount_means()
 
 
 SUITES = {
@@ -327,15 +332,23 @@ SUITES = {
 }
 
 
-# The suites `run_suite("all")` leaves to its second interpreter. Balanced on
-# CPU times per suite in one process with numpy preloaded (two runs, 2 CPUs):
-# stein-chen 317-342 ms, inversion-lemma 40-42, rayleigh-ks 24-26 and
-# opcount-lemmas under 1 (it reads the permutation walk) against montecarlo
-# 531-562, enumeration 35-36, asymptotic-orders 27, paper-values 5-6 and
-# optimal-shift 4; each process also imports numpy (155-219 ms). Suites that
-# share a cache stay in one lane: inversion-lemma and opcount-lemmas share
-# _permutation_walk, paper-values and montecarlo scaled_pass_moment(10^4, .).
-WORKER_SUITES = ("stein-chen", "inversion-lemma", "opcount-lemmas", "rayleigh-ks")
+# The claim groups of run_suite("all"): the suites but lemma-8-4 (a subset of
+# opcount-lemmas), with montecarlo's two separately seeded claims apart and
+# MC-OPCOUNT-MEANS, the caller's longest, last.
+_GROUPS = {**{name: suite for name, suite in SUITES.items()
+              if name not in ("lemma-8-4", "montecarlo")},
+           "MC-PASS-LAW-KS": _mc_pass_law_ks, "MC-OPCOUNT-MEANS": _mc_opcount_means}
+
+# The groups run_suite("all") leaves to its forked worker, balanced on CPU times
+# per group with numpy preloaded (four runs in one session, 2 CPUs): stein-chen
+# 182-206 ms, MC-PASS-LAW-KS 66-70, inversion-lemma 24-42, rayleigh-ks 11-12 and
+# opcount-lemmas under 1, 283-330 in all, against MC-OPCOUNT-MEANS 205-223,
+# paper-values 48-50, enumeration 19-33, asymptotic-orders 13, optimal-shift 2,
+# 287-321 in all; each lane imports numpy (107-168). Cache pairs share a lane:
+# inversion-lemma and opcount-lemmas read _permutation_walk, paper-values and
+# MC-OPCOUNT-MEANS scaled_pass_moment(10^4, .).
+WORKER_GROUPS = ("stein-chen", "inversion-lemma", "opcount-lemmas", "rayleigh-ks",
+                 "MC-PASS-LAW-KS")
 
 
 def _usable_cpus() -> int:
@@ -344,39 +357,70 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_suites(names) -> list[ClaimResult]:
-    return [c for name in names for c in SUITES[name]()]
+def _may_fork() -> bool:
+    import threading
+
+    # numpy's import starts the threads of its BLAS pool; a fork copies one thread
+    return (hasattr(os, "fork") and _usable_cpus() >= 2 and "numpy" not in sys.modules
+            and threading.active_count() == 1)
+
+
+def _run_groups(names) -> list[ClaimResult]:
+    return [c for name in names for c in _GROUPS[name]()]
+
+
+def _worker_lane(pipe: int):
+    """The forked worker, which never returns: the claims of WORKER_GROUPS as JSON
+    on `pipe`, or a traceback on stderr and its last line on `pipe`."""
+    code = 1
+    try:
+        with open(pipe, "w", encoding="utf-8") as out:
+            try:
+                out.write(json.dumps([list(c) for c in _run_groups(WORKER_GROUPS)]))
+                code = 0
+            except BaseException as exc:
+                import traceback
+
+                traceback.print_exc()
+                out.write(traceback.format_exception_only(exc)[-1])
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
 
 
 def _run_all() -> list[ClaimResult]:
-    names = [s for s in sorted(SUITES) if s != "lemma-8-4"]  # a subset of opcount-lemmas
-    if _usable_cpus() < 2 or not sys.executable:
-        return _run_suites(names)
-    import json
-    import subprocess
-
-    # the worker imports the collisort this process loaded, whatever its working
-    # directory (`-m` puts the directory it starts in first on sys.path)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")}
-    with subprocess.Popen([sys.executable, "-m", "collisort.verification", *WORKER_SUITES],
-                          cwd=root, env=env, stdin=subprocess.DEVNULL,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as worker:
-        try:
-            results = _run_suites([s for s in names if s not in WORKER_SUITES])
-            out, err = worker.communicate()
-        except BaseException:  # no worker outlives the call
-            worker.kill()
-            worker.wait()
-            raise
-    err = err.decode(errors="replace")
-    if worker.returncode:
-        last = err.strip().splitlines()[-1:] or ["no message"]
-        raise RuntimeError(f"verify lane {', '.join(WORKER_SUITES)} exited "
-                           f"{worker.returncode}: {last[0]}")
-    sys.stderr.write(err)  # the worker's warnings, as its suites would give them here
-    return results + [ClaimResult(*fields) for fields in json.loads(out)]
+    if not _may_fork():
+        return _run_groups(_GROUPS)
+    read, write = os.pipe()
+    sys.stdout.flush()  # else the worker would write what this process buffered
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        _worker_lane(write)
+    status = None  # the worker's wait status, once reaped
+    try:
+        os.close(write)
+        with open(read, "rb") as lane:
+            results = []
+            for name in (g for g in _GROUPS if g not in WORKER_GROUPS):
+                if status is None and (reaped := os.waitpid(pid, os.WNOHANG))[0]:
+                    status = reaped[1]
+                if status:  # the worker failed: report it before this lane runs on
+                    break
+                results += _GROUPS[name]()
+            message = lane.read()
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+    except BaseException:
+        if status is None:  # no worker outlives the call
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    if code := os.waitstatus_to_exitcode(status):
+        raise RuntimeError(f"verify lane {', '.join(WORKER_GROUPS)} exited {code}: "
+                           f"{message.decode(errors='replace').strip() or 'no message'}")
+    return results + [ClaimResult(*fields) for fields in json.loads(message)]
 
 
 def run_suite(name: str) -> list[ClaimResult]:
@@ -386,12 +430,3 @@ def run_suite(name: str) -> list[ClaimResult]:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return sorted(SUITES[name](), key=lambda c: c.claim_id)
 
-
-if __name__ == "__main__":  # the worker lane of run_suite("all"): its claims as JSON
-    import json
-
-    refused = [name for name in sys.argv[1:] if name not in SUITES]
-    if refused:
-        raise ValueError(f"unknown suite {refused[0]!r} for a verify lane; "
-                         f"choose from {sorted(SUITES)}")
-    sys.stdout.write(json.dumps([list(c) for c in _run_suites(sys.argv[1:])]))

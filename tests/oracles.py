@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -75,6 +75,11 @@ def erfi_series_frac(x: Fraction, terms: int = 60) -> Fraction:
             den *= i
         total += num / (den * (2 * k + 1))
     return total
+
+
+def all_permutations(n: int):
+    """All permutations of 1..n, as tuples in lexicographic order."""
+    return permutations(range(1, n + 1))
 
 
 def collision_survival_by_tuples(n: int, m: int) -> Fraction:

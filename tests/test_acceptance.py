@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from collisort import asymptotics, exact, sorters, verification
 from collisort.montecarlo import exact_law_ks_vs_rayleigh
+from oracles import all_permutations
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -98,7 +99,7 @@ def test_criterion_04_pass_equals_max_inversion():
     bad = 0
     total = 0
     for n in range(1, 9):
-        for p in sorters.all_permutations(n):
+        for p in all_permutations(n):
             total += 1
             if not sorters.passes_match_inversion_max(p):
                 bad += 1

@@ -120,7 +120,7 @@ print(json.dumps([codes, "numpy" in sys.modules]))
 
 
 def test_cli_and_single_suite_verify_do_not_import_subprocess():
-    # only run_suite("all") starts a second interpreter, so only it imports subprocess
+    # run_suite("all") forks its worker lane, so no command imports subprocess
     out = _python("""
 import contextlib, io, json, sys
 import collisort.cli
@@ -134,11 +134,22 @@ print(json.dumps(loaded))
 
 
 def test_verify_all_closes_its_pipes_and_reaps_its_worker():
-    # -X dev reports an unclosed pipe or a child never waited for as a ResourceWarning
+    # -X dev reports an unclosed pipe as a ResourceWarning; two usable CPUs make it fork
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = """
+import os, sys
+from collisort import cli, verification
+verification._usable_cpus = lambda: 2
+code = cli.main(["verify", "--suite", "all"])
+sys.stdout.flush()
+try:
+    os.wait()
+except ChildProcessError:  # no child left unreaped
+    sys.exit(code)
+sys.exit("a child was left unreaped")
+"""
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-                           "-m", "collisort.cli", "verify", "--suite", "all"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                           "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(json.loads(proc.stdout)["rows"]) == 38
 
@@ -146,13 +157,13 @@ def test_verify_all_closes_its_pipes_and_reaps_its_worker():
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_verify_all_pinned_to_one_cpu_starts_no_child():
     out = _python("""
-import contextlib, io, json, os, subprocess
+import contextlib, io, json, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-def refuse(*args, **kwargs):
+def refuse():
     raise AssertionError("started a child process")
 
-subprocess.Popen = refuse
+os.fork = refuse
 import collisort.cli
 with contextlib.redirect_stdout(io.StringIO()) as buf:
     code = collisort.cli.main(["verify", "--suite", "all"])

@@ -16,7 +16,6 @@ from collisort.sorters import (
     VARIANTS,
     OpCounts,
     ResourceBoundError,
-    all_permutations,
     bubble_sort_instrumented,
     check_inversion_table,
     check_permutation,
@@ -33,7 +32,7 @@ from collisort.sorters import (
     permutation_rows,
     sort_rows,
 )
-from oracles import collision_survival_by_tuples
+from oracles import all_permutations, collision_survival_by_tuples
 
 RANDOM_CASES_N200 = 2000  # randomized correctness coverage beyond exhaustive n<=8
 

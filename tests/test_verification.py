@@ -6,6 +6,7 @@ import json
 import os
 import signal
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,89 +91,187 @@ def _serial_all():
     return sorted(claims, key=lambda c: c.claim_id)
 
 
-def _no_child(*args, **kwargs):
-    raise AssertionError("started a child process")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Once numpy is imported, as in this session, run_suite("all") runs serially.
+# The fork path runs in fresh interpreters, after this prelude: two usable
+# CPUs, and the pid of each fork run_suite("all") takes recorded in FORKS.
+_PRELUDE = """
+import json, os, sys
+from collisort import cli, verification
+verification._usable_cpus = lambda: 2
+FORKS = []
+_fork = os.fork
+
+def fork():
+    pid = _fork()
+    if pid:
+        FORKS.append(pid)
+    return pid
+
+os.fork = fork
+"""
 
 
-def _record_children(monkeypatch) -> list:
-    started = []
+def _fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *flags, "-c", _PRELUDE + code],
+                          capture_output=True, env=env, timeout=120)
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return started
+def _internal_error(proc) -> str:
+    """The error of a verify that exited 4 with nothing on stdout; the worker's
+    traceback, if any, precedes it on stderr."""
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, b"")
+    payload = json.loads(proc.stderr.decode().splitlines()[-1])
+    assert payload["kind"] == "internal"
+    return payload["error"]
 
 
 def test_run_all_equals_the_serial_suites_on_both_paths(monkeypatch):
+    proc = _fresh("""
+claims = verification.run_suite("all")
+print(json.dumps([len(FORKS), [list(c) for c in claims]]))
+""")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    forks, two_lanes = json.loads(proc.stdout)
     serial = _serial_all()
-    with monkeypatch.context() as patch:
-        patch.setattr(verification, "_usable_cpus", lambda: 2)
-        started = _record_children(patch)
-        two_lanes = verification.run_suite("all")
-    assert [worker.returncode for worker in started] == [0]
-    assert started[0].args[-len(verification.WORKER_SUITES):] == list(verification.WORKER_SUITES)
+    assert forks == 1
+    assert [verification.ClaimResult(*c) for c in two_lanes] == serial
     monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(subprocess, "Popen", _no_child)
-    assert two_lanes == serial
     assert verification.run_suite("all") == serial
 
 
+def test_verify_all_forks_only_without_numpy_or_threads(monkeypatch):
+    import numpy  # noqa: F401
+
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    assert not verification._may_fork()
+    proc = _fresh("""
+import threading
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+try:
+    claims = verification.run_suite("all")
+finally:
+    stop.set()
+    thread.join()
+print(json.dumps([len(FORKS), len(claims)]))
+""")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout) == [0, len(STABLE_CLAIM_IDS)]
+
+
 def test_verify_all_stdout_is_the_same_on_both_paths(capsys, monkeypatch):
-    outputs = {}
-    for lanes in (2, 1):
-        with monkeypatch.context() as patch:
-            patch.setattr(verification, "_usable_cpus", lambda: lanes)
-            if lanes == 1:
-                patch.setattr(subprocess, "Popen", _no_child)
-            for fmt in ("json", "csv"):
-                assert cli.main(["verify", "--suite", "all", "--output", fmt]) == cli.EXIT_OK
-                outputs[lanes, fmt] = capsys.readouterr().out
-    assert outputs[2, "json"] == outputs[1, "json"]
-    assert outputs[2, "csv"] == outputs[1, "csv"]
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)  # serial in this process
+    for fmt in ("json", "csv"):
+        proc = _fresh(f"""
+code = cli.main(["verify", "--suite", "all", "--output", "{fmt}"])
+sys.stdout.flush()
+sys.stderr.write(json.dumps([code, len(FORKS)]))
+""")
+        assert json.loads(proc.stderr) == [cli.EXIT_OK, 1]
+        assert cli.main(["verify", "--suite", "all", "--output", fmt]) == cli.EXIT_OK
+        assert proc.stdout.decode() == capsys.readouterr().out, fmt
 
 
-def test_a_refused_worker_lane_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verification, "WORKER_SUITES", ("no-such-suite",))
-    # the worker reads its own SUITES; this process runs one quick suite
-    monkeypatch.setattr(verification, "SUITES",
-                        {"optimal-shift": verification.suite_optimal_shift})
-    assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    payload = json.loads(captured.err)
-    assert payload["kind"] == "internal"
-    assert payload["error"].startswith("RuntimeError: verify lane no-such-suite exited 1: "
-                                       "ValueError: unknown suite 'no-such-suite'")
+def test_a_refused_worker_lane_is_an_internal_error():
+    proc = _fresh("""
+verification.WORKER_GROUPS = ("no-such-suite",)
+sys.exit(cli.main(["verify", "--suite", "all"]))
+""")
+    assert _internal_error(proc) == ("RuntimeError: verify lane no-such-suite exited 1: "
+                                     "KeyError: 'no-such-suite'")
+    assert b"Traceback" in proc.stderr  # the worker's own
 
 
-@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-def test_a_failing_parent_lane_kills_and_reaps_the_worker(capsys, monkeypatch, exc):
-    def fail():
-        raise exc("parent lane")
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_a_failed_worker_is_reported_before_mc_opcount_means_runs():
+    proc = _fresh("""
+def fail():
+    raise RuntimeError("worker lane")
 
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
-    monkeypatch.setitem(verification.SUITES, "asymptotic-orders", fail)  # the first to run
-    started = _record_children(monkeypatch)
-    if exc is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["verify", "--suite", "all"])
+def wait_for_the_worker():  # the caller's first group; WNOWAIT leaves the worker unreaped
+    os.waitid(os.P_PID, FORKS[0], os.WEXITED | os.WNOWAIT)
+    return []
+
+def never():
+    raise AssertionError("MC-OPCOUNT-MEANS ran")
+
+verification._GROUPS.update({"stein-chen": fail, "paper-values": wait_for_the_worker,
+                             "MC-OPCOUNT-MEANS": never})
+sys.exit(cli.main(["verify", "--suite", "all"]))
+""")
+    lane = ", ".join(verification.WORKER_GROUPS)
+    assert _internal_error(proc) == (f"RuntimeError: verify lane {lane} exited 1: "
+                                     "RuntimeError: worker lane")
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_a_warning_in_a_worker_claim_is_an_error_under_w_error(cpus):
+    # the forked worker keeps the interpreter's -W error, as the serial path does
+    proc = _fresh(f"""
+import warnings
+verification._usable_cpus = lambda: {cpus}
+
+def warn():
+    warnings.warn("worker claim")
+    return []
+
+verification._GROUPS["stein-chen"] = warn
+code = cli.main(["verify", "--suite", "all"])
+assert len(FORKS) == {cpus} - 1
+sys.exit(code)
+""", "-W", "error")
+    lane = ", ".join(verification.WORKER_GROUPS)
+    prefix = f"RuntimeError: verify lane {lane} exited 1: " if cpus == 2 else ""
+    assert _internal_error(proc) == prefix + "UserWarning: worker claim"
+
+
+@pytest.mark.parametrize("exc", ["RuntimeError", "KeyboardInterrupt"])
+def test_a_failing_parent_lane_kills_and_reaps_the_worker(exc):
+    proc = _fresh(f"""
+import signal
+STATUSES = []
+_waitpid = os.waitpid
+
+def waitpid(pid, options):
+    reaped, status = _waitpid(pid, options)
+    if reaped:
+        STATUSES.append(status)
+    return reaped, status
+
+def fail():
+    raise {exc}("parent lane")
+
+os.waitpid = waitpid
+verification._GROUPS["paper-values"] = fail  # the caller's first group
+try:
+    code = cli.main(["verify", "--suite", "all"])
+except KeyboardInterrupt:
+    code = "interrupted"
+try:  # reaped: no longer a child of this process
+    os.waitpid(FORKS[0], os.WNOHANG)
+except ChildProcessError:
+    print(json.dumps([code, [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in STATUSES]]))
+""")
+    code, statuses = json.loads(proc.stdout)
+    assert statuses == [signal.SIGKILL]
+    if exc == "KeyboardInterrupt":
+        assert code == "interrupted"
     else:
-        assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_INTERNAL
-        assert json.loads(capsys.readouterr().err)["error"] == "RuntimeError: parent lane"
-    (worker,) = started
-    assert worker.returncode == -signal.SIGKILL
-    assert worker.stdout.closed and worker.stderr.closed
-    with pytest.raises(ChildProcessError):  # reaped: no longer a child of this process
-        os.waitpid(worker.pid, os.WNOHANG)
+        assert code == cli.EXIT_INTERNAL
+        assert json.loads(proc.stderr)["error"] == "RuntimeError: parent lane"
 
 
-def test_single_suite_verify_starts_no_child(capsys, monkeypatch):
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(subprocess, "Popen", _no_child)
-    for name in sorted(verification.SUITES):
-        assert cli.main(["verify", "--suite", name]) == cli.EXIT_OK, name
-    capsys.readouterr()
+def test_single_suite_verify_starts_no_child():
+    proc = _fresh(f"""
+import contextlib, io
+codes = []
+for name in {sorted(verification.SUITES)!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["verify", "--suite", name]))
+print(json.dumps([codes, len(FORKS)]))
+""")
+    assert json.loads(proc.stdout) == [[cli.EXIT_OK] * len(verification.SUITES), 0]
