@@ -5,8 +5,8 @@ Z = (collision count - 1)/sqrt(n) for the birthday process.  Everything
 here approximates their laws and moments by expansions valid for large n;
 the exact counterparts live in `exact` and serve as oracles.
 
-Survival, CDF and moment expansions are generated from the log series of the
-product forms (`_exponent`, `_moment`); PMF and charfn keep closed forms.
+Survival, CDF, PMF and moment expansions are generated from the log series of
+the product forms (`_exponent`, `_moment`); the charfn is the only closed form.
 """
 
 from __future__ import annotations
@@ -173,6 +173,8 @@ def _value(terms, n: int, y: float) -> float:
 def _lattice_index(kind: str, n: int, x: float, what: str) -> int:
     """Map x to the lattice value x*sqrt(n) of ``kind``, rejecting points off
     the lattice or outside its values first..first + n - 1."""
+    if not math.isfinite(x):
+        raise ValueError(f"{what}: x must be finite, got x={x}")
     lo = LATTICES[kind][1]
     mf = x * math.sqrt(n)
     m = round(mf)
@@ -181,6 +183,12 @@ def _lattice_index(kind: str, n: int, x: float, what: str) -> int:
     if not lo <= m < lo + n:
         raise ValueError(f"{what}: lattice index x*sqrt(n) = {m} outside {lo}..{lo + n - 1}")
     return m
+
+
+def _survival(kind: str, n: int, x: float) -> float:
+    """P{value >= x sqrt(n)} of ``kind`` ~ exp of its generated exponent,
+    exact through the 1/n^2 term."""
+    return math.exp(_value(_floats(_exponent, kind, -LATTICES[kind][1], 4), n, x))
 
 
 def scaled_pass_survival(n: int, x: float) -> HPReal:
@@ -205,13 +213,15 @@ def scaled_pass_survival_expansion(n: int, x: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not math.isfinite(x):
+        raise ValueError(f"scaled_pass_survival_expansion: x must be finite, got x={x}")
     if x < 0:
         raise ValueError("x must be >= 0")
     if x > 2.0 * n ** (1.0 / 6.0):
         warnings.warn(f"scaled_pass_survival_expansion: x={x} beyond comfort zone "
                       f"2 n^(1/6)={2.0 * n ** (1.0 / 6.0):.3f}; remainder dominates",
                       RuntimeWarning, stacklevel=2)
-    return math.exp(_value(_floats(_exponent, "pass", 0, 4), n, x))
+    return _survival("pass", n, x)
 
 
 def _expansion_slopes(n: int, x: float) -> tuple[float, float]:
@@ -235,19 +245,9 @@ def scaled_pass_cdf_approx(n: int, x: float) -> float:
 
 
 def scaled_pass_pmf_approx(n: int, x: float) -> float:
-    """P{X = x} ~ (x exp(-x^2/2)/sqrt n) exp(-(x^4-3)/(3 x sqrt n)).
-
-    The exponent is singular at x = 0, so the lattice's lowest point is
-    rejected; the exact lattice pmf from survival differences is the
-    authoritative value there.
-    """
-    m = _lattice_index("pass", n, x, "scaled_pass_pmf_approx")
-    if m == 0:
-        raise ValueError("scaled_pass_pmf_approx is singular at x = 0")
-    sq = math.sqrt(n)
-    return (math.exp(-x * x / 2.0) * x / sq) * math.exp(
-        -(x ** 4 - 3.0) / (3.0 * x * sq)
-    )
+    """P{X = x} ~ P{X >= x} - P{X >= x + 1/sqrt n}, by the generated survival."""
+    _lattice_index("pass", n, x, "scaled_pass_pmf_approx")
+    return _survival("pass", n, x) - _survival("pass", n, x + 1.0 / math.sqrt(n))
 
 
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
@@ -258,12 +258,9 @@ def scaled_collision_cdf_approx(n: int, z: float) -> float:
 
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
-    """P{Z = z} ~ (z exp(-z^2/2)/sqrt n) exp(-(z^3-3z)/(6 sqrt n))."""
+    """P{Z = z} ~ P{Z >= z} - P{Z >= z + 1/sqrt n}, by the generated survival."""
     _lattice_index("collision", n, z, "scaled_collision_pmf_approx")
-    sq = math.sqrt(n)
-    return (math.exp(-z * z / 2.0) * z / sq) * math.exp(
-        -(z ** 3 - 3 * z) / (6.0 * sq)
-    )
+    return _survival("collision", n, z) - _survival("collision", n, z + 1.0 / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def inversion_supports(n: int, m: int) -> range:
     return range(n, n - m - 1, -1)
 
 
-# a factor-by-factor walk takes about 8 us a factor, so about 8 s at this cap
+# a factor-by-factor walk takes about 4.6 us a factor, so about 4.6 s at this cap
 _WALK_LIMIT = 10**6
 
 
@@ -174,10 +174,10 @@ def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPRe
         raise ValueError("m must be >= 0")
     if not n > m:
         raise ValueError(f"series form requires n > m, got n={n}, m={m}")
-    if m == 0:
-        return hp(1.0)
     if depth is not None and not 1 <= depth <= MAX_ORDER:
         raise ValueError(f"depth must be in 1..{MAX_ORDER}")
+    if m == 0:
+        return hp(1.0)
     base = Fraction(n) - m if alternating else Fraction(n)
     exponent = hp(0.0)
     magnitude = Fraction(0)

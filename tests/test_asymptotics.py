@@ -1,6 +1,7 @@
 """Asymptotic expansions against the exact laws they approximate."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -102,6 +103,10 @@ LATTICE_ERRORS = [
     ("collision", 100, 10.1, "lattice index x*sqrt(n) = 101 outside 1..100"),
     ("collision", 4, 0.0, "lattice index x*sqrt(n) = 0 outside 1..4"),
     ("collision", 1, 0.0, "lattice index x*sqrt(n) = 0 outside 1..1"),
+    ("pass", 100, math.nan, "x must be finite, got x=nan"),
+    ("pass", 100, math.inf, "x must be finite, got x=inf"),
+    ("collision", 100, math.nan, "x must be finite, got x=nan"),
+    ("collision", 100, -math.inf, "x must be finite, got x=-inf"),
 ]
 LATTICE_FUNCTIONS = {
     "pass": (scaled_pass_survival, scaled_pass_cdf_approx, scaled_pass_pmf_approx),
@@ -119,7 +124,7 @@ def test_lattice_errors_unchanged(kind, n, x, message):
 
 def test_lattice_ends_are_accepted():
     for n in (1, 4, 100):
-        for fn in LATTICE_FUNCTIONS["pass"][:2]:  # the pmf is singular at x = 0
+        for fn in LATTICE_FUNCTIONS["pass"]:
             fn(n, 0.0)
             fn(n, (n - 1) / math.sqrt(n))
         for fn in LATTICE_FUNCTIONS["collision"]:
@@ -141,6 +146,13 @@ def test_expansion_error_order():
         errs.append(abs(scaled_pass_survival_expansion(n, 1.0) - ref))
     assert 16.0 <= errs[0] / errs[1] <= 64.0
     assert 16.0 <= errs[1] / errs[2] <= 64.0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_expansion_rejects_non_finite_x(x):
+    message = f"scaled_pass_survival_expansion: x must be finite, got x={x}"
+    with pytest.raises(ValueError, match=message):
+        scaled_pass_survival_expansion(100, x)
 
 
 def test_expansion_warns_out_of_comfort_zone():
@@ -176,9 +188,18 @@ def test_pass_cdf_approx_off_lattice():
         scaled_pass_cdf_approx(10**4, 0.005)
 
 
-def test_pass_pmf_approx_rejects_zero():
-    with pytest.raises(ValueError):
-        scaled_pass_pmf_approx(10**4, 0.0)
+@pytest.mark.parametrize("n, rel", [(10**4, 1e-6), (10**6, 1e-10)])
+@pytest.mark.parametrize("kind, pmf", [("pass", scaled_pass_pmf_approx),
+                                       ("collision", scaled_collision_pmf_approx)])
+def test_pmf_approx_is_the_exact_survival_difference(kind, pmf, n, rel):
+    # at every lattice value v = m + first with m < 4 sqrt(n), x = 0 on the
+    # pass side included, against the exact lattice pmf S_m - S_(m+1)
+    sequence, first = exact.LATTICES[kind]
+    sq = math.isqrt(n)
+    survival = [float(s) for _, s in itertools.islice(sequence(n), 4 * sq + 1)]
+    for m in range(4 * sq):
+        ref = survival[m] - survival[m + 1]
+        assert pmf(n, (m + first) / sq) == pytest.approx(ref, rel=rel)
 
 
 def test_pass_pmf_approx_sums_to_one():

@@ -384,6 +384,13 @@ def test_approx_varrho_without_x_is_usage_error(capsys):
     assert "--x" in payload["error"]
 
 
+@pytest.mark.parametrize("depth", ["0", "65"])
+def test_series_depth_is_checked_at_m_zero(capsys, depth):
+    code, out, err = run_cli(capsys, "exact", "series", "--n", "10", "--m", "0", "--depth", depth)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err) == {"error": "depth must be in 1..64", "kind": "usage"}
+
+
 def test_argparse_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "bogus-target", "--n", "10"])
@@ -571,28 +578,28 @@ PINNED_APPROX = {
         (0.8677859836468516, 0.8678172457493822),
     ],
     "approx pmf --n 4 --x 0.5 --z 1.0": [
-        (0.5873539295367791, 0.4166666666666667),
-        (0.3582656552868946, 0.375),
+        (0.41366212891868037, 0.4166666666666667),
+        (0.3770006026478678, 0.375),
     ],
     "approx pmf --n 100 --x 1.0 --z 1.0": [
-        (0.06483443410015097, 0.06419717973894917),
-        (0.06270890852730561, 0.06281565095552943),
+        (0.06419636938488943, 0.06419717973894917),
+        (0.06281572101715538, 0.06281565095552943),
     ],
     "approx pmf --n 100 --x 2.5 --z 0.1": [
-        (0.006791199511626436, 0.005893604572262812),
-        (0.009999833334722215, 0.010000000000000009),
+        (0.005895226836303868, 0.005893604572262812),
+        (0.009999994502900234, 0.010000000000000009),
     ],
     "approx pmf --n 100 --x 9.9 --z 10.0": [
-        (4.6870998486584406e-36, 1.071510288125467e-158),
-        (1.8373072160413474e-29, 9.332621544394415e-43),
+        (5.252076755818139e-62, 1.071510288125467e-158),
+        (1.6368572473892564e-36, 9.332621544394415e-43),
     ],
     "approx pmf --n 10000 --x 1.0 --z 1.0": [
-        (0.006105877059052739, 0.006105290665693097),
-        (0.0060855580194025686, 0.00608565964957275),
+        (0.006105290665017082, 0.006105290665693097),
+        (0.006085659649629038, 0.00608565964957275),
     ],
     "approx pmf --n 10000 --x 0.37 --z 2.0": [
-        (0.003549266645248952, 0.003547981525979127),
-        (0.002697698333076027, 0.0026976072296044373),
+        (0.003547981525999, 0.003547981525979127),
+        (0.0026976072292418385, 0.0026976072296044373),
     ],
 }
 
@@ -605,6 +612,13 @@ def test_approx_cdf_pmf_grid_pinned(capsys, argv):
     t = argv.split()[1]
     assert [r["target"] for r in rows] == [f"scaled-pass-{t}", f"scaled-collision-{t}"]
     assert [(r["value"], r["exact"]) for r in rows] == PINNED_APPROX[argv]
+
+
+def test_approx_pmf_at_the_lowest_pass_value(capsys):
+    code, out, _ = run_cli(capsys, "approx", "pmf", "--n", "100", "--x", "0")
+    assert code == EXIT_OK
+    (row,) = json.loads(out)["rows"]
+    assert row["value"] == pytest.approx(row["exact"], rel=1e-6)
 
 
 @pytest.mark.parametrize("argv", [

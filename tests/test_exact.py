@@ -279,6 +279,11 @@ def test_series_domain():
         pass_cdf_series(20, 25)
     with pytest.raises(ValueError):
         collision_sf_series(365, 22, depth=0)
+    # depth is checked before the empty product at m = 0
+    for series in (collision_sf_series, pass_cdf_series):
+        for depth in (0, 65):
+            with pytest.raises(ValueError, match="depth must be in 1..64"):
+                series(10, 0, depth=depth)
     with pytest.raises(ValueError, match="collision log series does not converge within 64"):
         collision_sf_series(22.0000001, 22)
 
