@@ -127,8 +127,7 @@ def _moment(kind: str, k: int, order: int) -> MappingProxyType:
     - sum_i B_i h^(i-1) g^(i-1)(0)/i!, with B_1 = -1/2 and int_0^inf x^a
     e^(-x^2/2) dx = (a-1)!!, times sqrt(pi/2) for even a.
     """
-    shift = 0 if kind == "pass" else -1  # P{Z >= m h} is the collision product at m - 1
-    tail = {key: c for key, c in _exponent(kind, shift, order).items() if key[0]}
+    tail = {key: c for key, c in _exponent(kind, -LATTICES[kind][1], order).items() if key[0]}
     survival = term = {(0, 0): Fraction(1)}  # times e^(-x^2/2)
     for t in range(1, order + 1):
         term = {key: c / t for key, c in _mul(term, tail, order).items()}
@@ -185,10 +184,18 @@ def _lattice_index(kind: str, n: int, x: float, what: str) -> int:
     return m
 
 
-def _survival(kind: str, n: int, x: float) -> float:
-    """P{value >= x sqrt(n)} of ``kind`` ~ exp of its generated exponent,
-    exact through the 1/n^2 term."""
-    return math.exp(_value(_floats(_exponent, kind, -LATTICES[kind][1], 4), n, x))
+def _survival_terms(kind: str):
+    """Float terms of E, the generated log P{value >= x sqrt(n)}, exact through 1/n^2."""
+    return _floats(_exponent, kind, -LATTICES[kind][1], 4)
+
+
+def _lattice_pmf(kind: str, n: int, x: float, what: str) -> float:
+    """P{value = x sqrt(n)} ~ -exp(E(x)) expm1(E(x + h) - E(x)), h = n^-1/2, each term's
+    step c h^j ((x + h)^a - x^a) expanded: survivals near 1 at the lattice's foot never cancel."""
+    _lattice_index(kind, n, x, what)
+    terms = _survival_terms(kind)
+    step = [(j + i, a - i, c * math.comb(a, i)) for j, a, c in terms for i in range(1, a + 1)]
+    return -math.exp(_value(terms, n, x)) * math.expm1(_value(step, n, x))
 
 
 def scaled_pass_survival(n: int, x: float) -> HPReal:
@@ -221,12 +228,12 @@ def scaled_pass_survival_expansion(n: int, x: float) -> float:
         warnings.warn(f"scaled_pass_survival_expansion: x={x} beyond comfort zone "
                       f"2 n^(1/6)={2.0 * n ** (1.0 / 6.0):.3f}; remainder dominates",
                       RuntimeWarning, stacklevel=2)
-    return _survival("pass", n, x)
+    return math.exp(_value(_survival_terms("pass"), n, x))
 
 
 def _expansion_slopes(n: int, x: float) -> tuple[float, float]:
     """f' and f''' of the survival expansion f = exp(E), from E', E'', E'''."""
-    terms = _floats(_exponent, "pass", 0, 4)
+    terms = _survival_terms("pass")
     g1, g2, g3 = (_value([(j, a - d, c * math.perm(a, d)) for j, a, c in terms if a >= d], n, x)
                   for d in (1, 2, 3))
     f = scaled_pass_survival_expansion(n, x)
@@ -246,8 +253,7 @@ def scaled_pass_cdf_approx(n: int, x: float) -> float:
 
 def scaled_pass_pmf_approx(n: int, x: float) -> float:
     """P{X = x} ~ P{X >= x} - P{X >= x + 1/sqrt n}, by the generated survival."""
-    _lattice_index("pass", n, x, "scaled_pass_pmf_approx")
-    return _survival("pass", n, x) - _survival("pass", n, x + 1.0 / math.sqrt(n))
+    return _lattice_pmf("pass", n, x, "scaled_pass_pmf_approx")
 
 
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
@@ -259,8 +265,7 @@ def scaled_collision_cdf_approx(n: int, z: float) -> float:
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
     """P{Z = z} ~ P{Z >= z} - P{Z >= z + 1/sqrt n}, by the generated survival."""
-    _lattice_index("collision", n, z, "scaled_collision_pmf_approx")
-    return _survival("collision", n, z) - _survival("collision", n, z + 1.0 / math.sqrt(n))
+    return _lattice_pmf("collision", n, z, "scaled_collision_pmf_approx")
 
 
 # ---------------------------------------------------------------------------

@@ -193,21 +193,37 @@ def test_pass_cdf_approx_off_lattice():
                                        ("collision", scaled_collision_pmf_approx)])
 def test_pmf_approx_is_the_exact_survival_difference(kind, pmf, n, rel):
     # at every lattice value v = m + first with m < 4 sqrt(n), x = 0 on the
-    # pass side included, against the exact lattice pmf S_m - S_(m+1)
+    # pass side included, against the exact lattice pmf S_m - S_(m+1), taken
+    # in double-double: in floats two survivals near 1 cancel
     sequence, first = exact.LATTICES[kind]
     sq = math.isqrt(n)
-    survival = [float(s) for _, s in itertools.islice(sequence(n), 4 * sq + 1)]
+    survival = [s for _, s in itertools.islice(sequence(n), 4 * sq + 1)]
     for m in range(4 * sq):
-        ref = survival[m] - survival[m + 1]
-        assert pmf(n, (m + first) / sq) == pytest.approx(ref, rel=rel)
+        ref = float(survival[m] - survival[m + 1])
+        assert pmf(n, (m + first) / sq) == pytest.approx(ref, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [10**12, 10**18])
+@pytest.mark.parametrize("kind, pmf, survival", [
+    ("pass", scaled_pass_pmf_approx, exact.pass_cdf_fraction),
+    ("collision", scaled_collision_pmf_approx, exact.collision_sf_fraction),
+])
+def test_pmf_approx_keeps_its_digits_at_large_n(kind, pmf, survival, n):
+    # near the bottom of the lattice both survivals round to 1 in floats while
+    # the pmf is ~(m + 1)/n; against the exact S_m - S_(m+1) in Fractions
+    first = exact.LATTICES[kind][1]
+    for m in (0, 1, 2, 1000):
+        ref = float(survival(n, m) - survival(n, m + 1))
+        assert pmf(n, (m + first) / math.isqrt(n)) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_pass_pmf_approx_sums_to_one():
     n = 10**4
     sq = math.sqrt(n)
-    total = sum(scaled_pass_pmf_approx(n, m / sq) for m in range(1, 1500))
-    # exact lattice pmf from survival differences sums to exactly 1
-    assert total == pytest.approx(1.0, abs=2e-3)
+    total = sum(scaled_pass_pmf_approx(n, m / sq) for m in range(0, 1500))
+    # the lattice pmf is the step of the survival expansion, which is 1 at
+    # x = 0 and ~e^-112 at x = 15, so its sum telescopes to 1
+    assert total == pytest.approx(1.0, abs=1e-13)
 
 
 def test_collision_pmf_small_argument_behavior():

@@ -578,28 +578,28 @@ PINNED_APPROX = {
         (0.8677859836468516, 0.8678172457493822),
     ],
     "approx pmf --n 4 --x 0.5 --z 1.0": [
-        (0.41366212891868037, 0.4166666666666667),
+        (0.4136621289186804, 0.4166666666666667),
         (0.3770006026478678, 0.375),
     ],
     "approx pmf --n 100 --x 1.0 --z 1.0": [
-        (0.06419636938488943, 0.06419717973894917),
-        (0.06281572101715538, 0.06281565095552943),
+        (0.0641963693848893, 0.06419717973894917),
+        (0.06281572101715545, 0.06281565095552943),
     ],
     "approx pmf --n 100 --x 2.5 --z 0.1": [
-        (0.005895226836303868, 0.005893604572262812),
-        (0.009999994502900234, 0.010000000000000009),
+        (0.005895226836303873, 0.005893604572262812),
+        (0.009999994502900223, 0.010000000000000009),
     ],
     "approx pmf --n 100 --x 9.9 --z 10.0": [
-        (5.252076755818139e-62, 1.071510288125467e-158),
-        (1.6368572473892564e-36, 9.332621544394415e-43),
+        (5.252076755818138e-62, 1.071510288125467e-158),
+        (1.63685724738926e-36, 9.332621544394415e-43),
     ],
     "approx pmf --n 10000 --x 1.0 --z 1.0": [
-        (0.006105290665017082, 0.006105290665693097),
-        (0.006085659649629038, 0.00608565964957275),
+        (0.006105290665017148, 0.006105290665693097),
+        (0.006085659649629108, 0.00608565964957275),
     ],
     "approx pmf --n 10000 --x 0.37 --z 2.0": [
-        (0.003547981525999, 0.003547981525979127),
-        (0.0026976072292418385, 0.0026976072296044373),
+        (0.0035479815259988993, 0.003547981525979127),
+        (0.0026976072292418806, 0.0026976072296044373),
     ],
 }
 
