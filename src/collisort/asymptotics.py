@@ -21,9 +21,7 @@ from types import MappingProxyType
 from .exact import (LATTICES, _MAX_MOMENT_ORDER, pass_cdf, pass_survival_sequence,
                     scaled_pass_moment)
 from .hpreal import HPReal, PI, hp
-from .distributions import rayleigh_charfn_core
 from .powersums import bernoulli, faulhaber_coefficients
-from .quadrature import adaptive_quad
 
 # Stirling-series correction coefficients: B_2j / (2j (2j-1)) for j = 1..4,
 # kept exact; a float 1/12 alone would cost ~1e-20 at x ~ 170
@@ -189,10 +187,21 @@ def _survival_terms(kind: str):
     return _floats(_exponent, kind, -LATTICES[kind][1], 4)
 
 
+def _warn_past_comfort_zone(n: int, x: float, what: str, stacklevel: int) -> None:
+    """RuntimeWarning once x exceeds 2 n^(1/6), where the h^5 x^7 term that
+    `_survival_terms` drops (both kinds) starts to dominate; ``stacklevel``
+    counts from the caller, as warnings.warn's does."""
+    zone = 2.0 * n ** (1.0 / 6.0)
+    if x > zone:
+        warnings.warn(f"{what}: x={x} beyond comfort zone 2 n^(1/6)={zone:.3f}; "
+                      "remainder dominates", RuntimeWarning, stacklevel=stacklevel + 1)
+
+
 def _lattice_pmf(kind: str, n: int, x: float, what: str) -> float:
     """P{value = x sqrt(n)} ~ -exp(E(x)) expm1(E(x + h) - E(x)), h = n^-1/2, each term's
     step c h^j ((x + h)^a - x^a) expanded: survivals near 1 at the lattice's foot never cancel."""
     _lattice_index(kind, n, x, what)
+    _warn_past_comfort_zone(n, x, what, stacklevel=3)
     terms = _survival_terms(kind)
     step = [(j + i, a - i, c * math.comb(a, i)) for j, a, c in terms for i in range(1, a + 1)]
     return -math.exp(_value(terms, n, x)) * math.expm1(_value(step, n, x))
@@ -224,10 +233,7 @@ def scaled_pass_survival_expansion(n: int, x: float) -> float:
         raise ValueError(f"scaled_pass_survival_expansion: x must be finite, got x={x}")
     if x < 0:
         raise ValueError("x must be >= 0")
-    if x > 2.0 * n ** (1.0 / 6.0):
-        warnings.warn(f"scaled_pass_survival_expansion: x={x} beyond comfort zone "
-                      f"2 n^(1/6)={2.0 * n ** (1.0 / 6.0):.3f}; remainder dominates",
-                      RuntimeWarning, stacklevel=2)
+    _warn_past_comfort_zone(n, x, "scaled_pass_survival_expansion", stacklevel=2)
     return math.exp(_value(_survival_terms("pass"), n, x))
 
 
@@ -241,14 +247,15 @@ def _expansion_slopes(n: int, x: float) -> tuple[float, float]:
 
 
 def scaled_pass_cdf_approx(n: int, x: float) -> float:
-    """F_X(x) = 1 - P{X >= x + 1/sqrt n} ~ 1 - exp(E) on the lattice, with E
+    """F_X(x) = 1 - P{X >= x + 1/sqrt n} ~ -expm1(E) on the lattice, with E
     the generated pass exponent at m = x sqrt(n) + 1 through n^(-1/2).
 
     Remainder is of order x^4/n.  The topmost lattice point (passes = 1)
     extrapolates the formula beyond its derivation range.
     """
     _lattice_index("pass", n, x, "scaled_pass_cdf_approx")
-    return 1.0 - math.exp(_value(_floats(_exponent, "pass", 1, 1), n, x))
+    # -expm1 keeps the digits near 0; 0.0 - turns E = 0 at x = 0 into 0.0, not -0.0
+    return 0.0 - math.expm1(_value(_floats(_exponent, "pass", 1, 1), n, x))
 
 
 def scaled_pass_pmf_approx(n: int, x: float) -> float:
@@ -257,10 +264,10 @@ def scaled_pass_pmf_approx(n: int, x: float) -> float:
 
 
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
-    """F_Z(z) ~ 1 - exp(E) on the lattice, with E the generated collision
+    """F_Z(z) ~ -expm1(E) on the lattice, with E the generated collision
     exponent at m = z sqrt(n) through n^(-1/2)."""
     _lattice_index("collision", n, z, "scaled_collision_cdf_approx")
-    return 1.0 - math.exp(_value(_floats(_exponent, "collision", 0, 1), n, z))
+    return -math.expm1(_value(_floats(_exponent, "collision", 0, 1), n, z))
 
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
@@ -289,6 +296,8 @@ def euler_maclaurin_residual(n: int, epsilon: float) -> float:
     vanish faster than any power as n grows); at finite n they are kept
     so the residual scales at its true Theta(1/n^2) rate.
     """
+    from .quadrature import adaptive_quad
+
     if not 0.0 < epsilon < 1.0 / 6.0:
         raise ValueError(f"epsilon must lie in (0, 1/6), got {epsilon}")
     if n < 100:
@@ -334,6 +343,8 @@ def scaled_pass_charfn_approx(n: int, t: float) -> complex:
     (1 - (6-t^2) i t/(3 sqrt n)) sqrt(2 pi) e^(-t^2/2) (i t) Phi(i t)
       + (1 - (5-t^2) i t/(3 sqrt n)).
     """
+    from .distributions import rayleigh_charfn_core
+
     if not abs(t) <= 8.0:
         raise ValueError(f"charfn approximation supported for |t| <= 8, got t={t}")
     sq = math.sqrt(n)

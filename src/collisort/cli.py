@@ -13,19 +13,21 @@ reported as {"error": ..., "kind": "internal"} and never as a failed claim).
 ValueError or a ResourceBoundError too, is an internal error; only its
 --suite and --output-path checks give a usage error.
 
-Each command imports only the modules it uses: `exact` loads hpreal,
-powersums and exact; `approx` adds asymptotics, distributions and
-quadrature.  Only `simulate` and the `verify` suites that the
+Each command imports only the modules it uses: `exact` loads hpreal and
+exact, plus powersums for `series`; `approx` adds asymptotics and
+powersums, and distributions or quadrature only for `charfn` or
+`em-check`.  Only `simulate` and the `verify` suites that the
 `verification` docstring names import numpy.  `verify --suite all` on two
 or more usable CPUs forks one worker, before numpy is imported, for part of
 its claims (`verification.WORKER_GROUPS`); each process imports numpy for
 the sampling claims it runs.  No command imports subprocess.
 
-Of the standard library, `import collisort.cli` loads argparse, json,
-decimal and fractions, with collections, re, functools and enum beneath
-them.  An `exact` or `approx` command adds cmath, importlib (which resolves
-the lazy names of `collisort`), and the shutil and locale that argparse
-imports while it builds the parser.  No module
+Of the standard library, `import collisort.cli` loads argparse and json,
+with gettext, collections, re, functools and enum beneath them.  An `exact`
+or `approx` command adds fractions, with the decimal and numbers it
+imports, for hpreal and exact; importlib (which resolves the lazy names of
+`collisort`); and the shutil and locale that argparse imports while it
+builds the parser.  Only `approx charfn` adds cmath.  No module
 imports dataclasses, which would bring inspect, ast, dis and tokenize
 (about 6 ms in a fresh interpreter): the value records are
 `collections.namedtuple` classes, and annotations take `collections.abc`,
@@ -40,8 +42,6 @@ import json
 import math
 import os
 import sys
-
-from .hpreal import HPReal
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -164,9 +164,11 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
             what = f"scaled_{kind}_{t}_approx"
             value = getattr(asymptotics, what)(n, point)
             v = asymptotics._lattice_index(kind, n, point, what)  # n - P or C - 1
-            sf, sf_next = (float(exact.lattice_sf(kind, n, w)) for w in (v, v + 1))
+            sf, sf_next = (exact.lattice_sf(kind, n, w) for w in (v, v + 1))
+            # differenced in HPReal: both survivals are near 1 at the lattice's foot
+            reference = float(1.0 - sf_next if t == "cdf" else sf - sf_next)
             rows.append({"target": f"scaled-{kind}-{t}", "n": n, arg: point,
-                         **_with_reference(value, 1.0 - sf_next if t == "cdf" else sf - sf_next)})
+                         **_with_reference(value, reference)})
         if not rows:
             raise ValueError(f"{t} target needs --x (pass side) and/or --z (collision side)")
     elif t == "moments":

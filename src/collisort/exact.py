@@ -18,7 +18,6 @@ estimator needs; log-series forms give both laws at any truncation depth.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from collections import namedtuple
@@ -26,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .hpreal import _TINY, _UNDERFLOW_FLOOR, HPReal, _dd_add, _dd_div, _dd_mul, _dd_pow, hp
-from .powersums import MAX_ORDER, power_sum
 
 SURVIVAL_FLOOR = 1e-40  # every survival walk stops after its first term below this
 _MAX_MOMENT_ORDER = 8  # highest moment order, exact and asymptotic
@@ -170,6 +168,8 @@ def _series_form(n: float, m: int, depth: int | None, alternating: bool) -> HPRe
     the exponent's err.  Without r < 1 the tail has no bound and the auto
     depth does not stop.
     """
+    from .powersums import MAX_ORDER, power_sum
+
     if m < 0:
         raise ValueError("m must be >= 0")
     if not n > m:
@@ -457,6 +457,8 @@ def scaled_pass_charfn_exact(n: int, t: float) -> complex:
     rho(m) - rho(m+1), with rho = 0 past the last term, so the last
     lattice point keeps the tail below the survival floor.
     """
+    import cmath
+
     if n < 1:
         raise ValueError("n must be >= 1")
     sq = math.sqrt(n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
@@ -174,6 +173,8 @@ class HPReal:
 
     def decimal_string(self, digits: int = 25) -> str:
         """Round hi + lo to ``digits`` significant decimal digits."""
+        from decimal import Decimal, localcontext
+
         with localcontext() as ctx:
             ctx.prec = digits + 15
             d = Decimal(self.hi) + Decimal(self.lo)

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,7 @@ def test_lattice_errors_unchanged(kind, n, x, message):
         assert str(info.value) == f"{fn.__name__}: {message}"
 
 
+@pytest.mark.filterwarnings("ignore:.*beyond comfort zone:RuntimeWarning")  # the top ends
 def test_lattice_ends_are_accepted():
     for n in (1, 4, 100):
         for fn in LATTICE_FUNCTIONS["pass"]:
@@ -156,15 +158,24 @@ def test_expansion_rejects_non_finite_x(x):
 
 
 def test_expansion_warns_out_of_comfort_zone():
-    with pytest.warns(RuntimeWarning):
-        scaled_pass_survival_expansion(100, 6.0)
+    # 2 n^(1/6) = 4.309 at n = 100; both PMFs drop the same h^5 x^7 term as the survival
+    for fn in (scaled_pass_survival_expansion, scaled_pass_pmf_approx,
+               scaled_collision_pmf_approx):
+        message = f"^{fn.__name__}: x=6.0 beyond comfort zone"
+        with pytest.warns(RuntimeWarning, match=message) as seen:
+            fn(100, 6.0)
+        assert seen[0].filename == __file__  # reported at the caller's line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(100, 4.3)
 
 
 # -- CDF / PMF approximations ------------------------------------------------------
 
 
 def test_pass_cdf_approx_at_zero():
-    assert scaled_pass_cdf_approx(10**4, 0.0) == 0.0
+    got = scaled_pass_cdf_approx(10**4, 0.0)
+    assert (got, math.copysign(1.0, got)) == (0.0, 1.0)  # 0.0, not -0.0
 
 
 def test_pass_cdf_approx_accuracy():
@@ -217,6 +228,17 @@ def test_pmf_approx_keeps_its_digits_at_large_n(kind, pmf, survival, n):
         assert pmf(n, (m + first) / math.isqrt(n)) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [10**12, 10**18])
+def test_collision_cdf_approx_keeps_its_digits_at_large_n(n):
+    # F_Z(m/sqrt n) = 1 - S_(m+1) is ~m(m+1)/(2n) here; 1 - exp(E) kept 5 digits at
+    # n = 10^12 and none at 10^18, where the expansion's own error is below 1e-12
+    for m in (1, 2):
+        ref = float(1 - exact.collision_sf_fraction(n, m))
+        got = scaled_collision_cdf_approx(n, m / math.isqrt(n))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:.*beyond comfort zone:RuntimeWarning")  # x up to 15
 def test_pass_pmf_approx_sums_to_one():
     n = 10**4
     sq = math.sqrt(n)

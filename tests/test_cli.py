@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from collisort import cli, montecarlo
+from collisort import cli, exact, montecarlo
 from collisort.cli import EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from collisort.exact import pass_cdf
 from collisort.montecarlo import EmpiricalSummary, tv_limit
@@ -554,16 +554,16 @@ def test_delta_tv_is_a_distance_at_a_large_poisson_mean(capsys):
 # side, pinned: the lattice value of each point comes from `_lattice_index`
 PINNED_APPROX = {
     "approx cdf --n 4 --x 0.5 --z 1.0": [
-        (0.405974679446365, 0.6666666666666667),
+        (0.40597467944636495, 0.6666666666666666),
         (0.5654017914929218, 0.625),
     ],
     "approx cdf --n 100 --x 1.0 --z 1.0": [
-        (0.4950689195281103, 0.5091150707485512),
+        (0.4950689195281103, 0.5091150707485513),
         (0.4325863312029963, 0.43465914140023476),
     ],
     "approx cdf --n 100 --x 2.5 --z 0.1": [
         (0.9820619896326762, 0.9858885539747445),
-        (0.009966666943888258, 0.010000000000000009),
+        (0.009966666943888277, 0.01),
     ],
     "approx cdf --n 100 --x 9.9 --z 10.0": [
         (1.0, 1.0),
@@ -574,7 +574,7 @@ PINNED_APPROX = {
         (0.39749942946195704, 0.39751969469229476),
     ],
     "approx cdf --n 10000 --x 0.37 --z 2.0": [
-        (0.07148509294649885, 0.07159481240434651),
+        (0.07148509294649888, 0.07159481240434654),
         (0.8677859836468516, 0.8678172457493822),
     ],
     "approx pmf --n 4 --x 0.5 --z 1.0": [
@@ -582,24 +582,24 @@ PINNED_APPROX = {
         (0.3770006026478678, 0.375),
     ],
     "approx pmf --n 100 --x 1.0 --z 1.0": [
-        (0.0641963693848893, 0.06419717973894917),
-        (0.06281572101715545, 0.06281565095552943),
+        (0.0641963693848893, 0.06419717973894914),
+        (0.06281572101715545, 0.06281565095552948),
     ],
     "approx pmf --n 100 --x 2.5 --z 0.1": [
-        (0.005895226836303873, 0.005893604572262812),
-        (0.009999994502900223, 0.010000000000000009),
+        (0.005895226836303873, 0.005893604572262813),
+        (0.009999994502900223, 0.01),
     ],
     "approx pmf --n 100 --x 9.9 --z 10.0": [
         (5.252076755818138e-62, 1.071510288125467e-158),
         (1.63685724738926e-36, 9.332621544394415e-43),
     ],
     "approx pmf --n 10000 --x 1.0 --z 1.0": [
-        (0.006105290665017148, 0.006105290665693097),
-        (0.006085659649629108, 0.00608565964957275),
+        (0.006105290665017148, 0.0061052906656931406),
+        (0.006085659649629108, 0.00608565964957278),
     ],
     "approx pmf --n 10000 --x 0.37 --z 2.0": [
-        (0.0035479815259988993, 0.003547981525979127),
-        (0.0026976072292418806, 0.0026976072296044373),
+        (0.0035479815259988993, 0.003547981525979114),
+        (0.0026976072292418806, 0.0026976072296044447),
     ],
 }
 
@@ -612,6 +612,26 @@ def test_approx_cdf_pmf_grid_pinned(capsys, argv):
     t = argv.split()[1]
     assert [r["target"] for r in rows] == [f"scaled-pass-{t}", f"scaled-collision-{t}"]
     assert [(r["value"], r["exact"]) for r in rows] == PINNED_APPROX[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    "approx pmf --n 1000000000000000000 --x 0 --z 1e-9",
+    "approx cdf --n 1000000000000000000 --x 0 --z 1e-9",
+    "approx cdf --n 1000000000000 --x 2e-6 --z 2e-6",
+    "approx pmf --n 1000000000000 --x 2e-6 --z 2e-6",
+])
+def test_approx_cdf_pmf_exact_column_is_the_fraction_law(capsys, argv):
+    # at the lattice's foot both survivals are near 1; their float difference read 0.0
+    # for 1e-18 and kept five digits of 6e-12
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    t, n = argv.split()[1], int(argv.split()[3])
+    for row, (kind, point) in zip(json.loads(out)["rows"], (("pass", "x"), ("collision", "z"))):
+        fraction_law = exact.pass_cdf_fraction if kind == "pass" else exact.collision_sf_fraction
+        m = round(row[point] * math.sqrt(n)) - exact.LATTICES[kind][1]  # P{value >= v} index
+        sf, sf_next = (fraction_law(n, w) if w < n else 0 for w in (m, m + 1))
+        ref = float(1 - sf_next if t == "cdf" else sf - sf_next)
+        assert row["exact"] == pytest.approx(ref, rel=1e-14, abs=0.0), row
 
 
 def test_approx_pmf_at_the_lowest_pass_value(capsys):

@@ -103,7 +103,39 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("collisort."))))
     assert not {"collisort.sorters", "collisort.verification"} & set(loaded["approx"])
 
 
+# modules each cold path must leave unloaded.  fractions, and the decimal that it
+# imports, load with hpreal, which every exact and approx command needs
+COLD_UNUSED = [
+    pytest.param("", ["collisort.hpreal", "decimal", "fractions"], id="import"),
+    pytest.param("exact pass-cdf --n 365 --m 22", ["cmath", "collisort.powersums"], id="exact"),
+    pytest.param("approx cdf --n 10000 --x 1.0 --z 1.0",
+                 ["cmath", "collisort.quadrature", "collisort.distributions"], id="approx"),
+]
+
+
+@pytest.mark.parametrize("argv, unused", COLD_UNUSED)
+def test_cold_paths_leave_unused_modules_unloaded(argv, unused):
+    out = _python(f"""
+import contextlib, io, json, sys
+import collisort.cli
+if {argv!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert collisort.cli.main({argv.split()!r}) == 0
+print(json.dumps([m for m in {unused!r} if m in sys.modules]))
+""")
+    assert json.loads(out) == []
+
+
 NUMPY_FREE_SUITES = ["paper-values", "enumeration", "asymptotic-orders", "optimal-shift"]
+
+
+def test_cold_path_ci_job_runs_the_numpy_free_commands():
+    # the workflow's cold-path job runs these without numpy on the oldest and newest Python
+    workflow = (SRC.parent / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    job = workflow[workflow.index("\n  cold-path:"):]
+    lines = {line.strip() for line in job.splitlines()}
+    commands = README_EXACT_APPROX + [f"verify --suite {suite}" for suite in NUMPY_FREE_SUITES]
+    assert [c for c in commands if c not in lines] == []
 
 
 def test_numpy_free_verify_suites_do_not_import_numpy():
