@@ -155,10 +155,14 @@ def _floats(series, *args) -> tuple[tuple[int, int, float], ...]:
 
 
 def _value(terms, n: int, y: float) -> float:
-    """sum c h^j y^a at h = n^-1/2 and y (x, or sqrt(pi/2) for moments)."""
+    """sum c h^j y^a at h = n^-1/2 and y (x, or sqrt(pi/2) for moments); an x whose
+    power x^a overflows a double is refused by a ValueError that names it."""
     h, total = 1.0 / math.sqrt(n), 0.0
-    for j, a, c in terms:
-        total += c * h ** j * y ** a
+    try:
+        for j, a, c in terms:
+            total += c * h ** j * y ** a
+    except OverflowError:
+        raise ValueError(f"x={y} is too large: its power x^{a} overflows a double") from None
     return total
 
 
@@ -174,7 +178,7 @@ def _lattice_index(kind: str, n: int, x: float, what: str) -> int:
         raise ValueError(f"{what}: x must be finite, got x={x}")
     lo = LATTICES[kind][1]
     mf = x * math.sqrt(n)
-    m = round(mf)
+    m = round(mf) if math.isfinite(mf) else mf  # an infinite product fails the range check
     if abs(mf - m) > 1e-8 * max(1.0, abs(mf)):
         raise ValueError(f"{what}: x*sqrt(n) = {mf} is not an integer lattice point")
     if not lo <= m < lo + n:
@@ -197,9 +201,18 @@ def _warn_past_comfort_zone(n: int, x: float, what: str, stacklevel: int) -> Non
                       "remainder dominates", RuntimeWarning, stacklevel=stacklevel + 1)
 
 
-def _lattice_pmf(kind: str, n: int, x: float, what: str) -> float:
+def _lattice_cdf(kind: str, n: int, x: float) -> float:
+    """P{value <= x sqrt(n)} = 1 - P{value >= x sqrt(n) + 1} ~ -expm1(E), with E the generated
+    exponent one lattice step up, through n^(-1/2)."""
+    _lattice_index(kind, n, x, f"scaled_{kind}_cdf_approx")
+    # -expm1 keeps the digits near 0; 0.0 - turns E = 0 (pass side, x = 0) into 0.0, not -0.0
+    return 0.0 - math.expm1(_value(_floats(_exponent, kind, 1 - LATTICES[kind][1], 1), n, x))
+
+
+def _lattice_pmf(kind: str, n: int, x: float) -> float:
     """P{value = x sqrt(n)} ~ -exp(E(x)) expm1(E(x + h) - E(x)), h = n^-1/2, each term's
     step c h^j ((x + h)^a - x^a) expanded: survivals near 1 at the lattice's foot never cancel."""
+    what = f"scaled_{kind}_pmf_approx"
     _lattice_index(kind, n, x, what)
     _warn_past_comfort_zone(n, x, what, stacklevel=3)
     terms = _survival_terms(kind)
@@ -251,28 +264,28 @@ def scaled_pass_cdf_approx(n: int, x: float) -> float:
     the generated pass exponent at m = x sqrt(n) + 1 through n^(-1/2).
 
     Remainder is of order x^4/n.  The topmost lattice point (passes = 1)
-    extrapolates the formula beyond its derivation range.
+    extrapolates the formula beyond its derivation range.  At the lattice's
+    foot the relative error is of order 1: every term of E vanishes at x = 0,
+    where the true log-survival is -1/n, so n = 10^18, x = 0 gives 0.0 against
+    1e-18.  The claim ORD-CDF-PASS pins this truncation order.
     """
-    _lattice_index("pass", n, x, "scaled_pass_cdf_approx")
-    # -expm1 keeps the digits near 0; 0.0 - turns E = 0 at x = 0 into 0.0, not -0.0
-    return 0.0 - math.expm1(_value(_floats(_exponent, "pass", 1, 1), n, x))
+    return _lattice_cdf("pass", n, x)
 
 
 def scaled_pass_pmf_approx(n: int, x: float) -> float:
     """P{X = x} ~ P{X >= x} - P{X >= x + 1/sqrt n}, by the generated survival."""
-    return _lattice_pmf("pass", n, x, "scaled_pass_pmf_approx")
+    return _lattice_pmf("pass", n, x)
 
 
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
     """F_Z(z) ~ -expm1(E) on the lattice, with E the generated collision
     exponent at m = z sqrt(n) through n^(-1/2)."""
-    _lattice_index("collision", n, z, "scaled_collision_cdf_approx")
-    return -math.expm1(_value(_floats(_exponent, "collision", 0, 1), n, z))
+    return _lattice_cdf("collision", n, z)
 
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
     """P{Z = z} ~ P{Z >= z} - P{Z >= z + 1/sqrt n}, by the generated survival."""
-    return _lattice_pmf("collision", n, z, "scaled_collision_pmf_approx")
+    return _lattice_pmf("collision", n, z)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +404,8 @@ class ExpectedOpDeltas(namedtuple("ExpectedOpDeltas", "comparison_reduction "
         """
         sq = math.sqrt(n)
         passes = n - sq * e1
-        return cls((n * e2 - sq * e1) / 2.0, passes + n * (n - 1) / 4.0, 2.0 * passes - 1.0, n)
+        # n (n - 1) as one int would pass the double range from n = 2^512
+        return cls((n * e2 - sq * e1) / 2.0, passes + n * ((n - 1) / 4.0), 2.0 * passes - 1.0, n)
 
     @classmethod
     def exact(cls, n: int) -> ExpectedOpDeltas:

@@ -72,12 +72,9 @@ def _cmd_exact(args) -> tuple[list[dict], int]:
 
     t = args.target
     rows: list[dict] = []
-    if t == "collision-sf":
+    if t in ("collision-sf", "pass-cdf"):
         rows.append({"target": t, "n": args.n, "m": args.m,
-                     **_hp_columns(exact.collision_sf(args.n, args.m))})
-    elif t == "pass-cdf":
-        rows.append({"target": t, "n": args.n, "m": args.m,
-                     **_hp_columns(exact.pass_cdf(args.n, args.m))})
+                     **_hp_columns(getattr(exact, t.replace("-", "_"))(args.n, args.m))})
     elif t == "series":
         for target, series in (("collision-sf-series", exact.collision_sf_series),
                                ("pass-cdf-series", exact.pass_cdf_series)):
@@ -109,10 +106,9 @@ def _cmd_exact(args) -> tuple[list[dict], int]:
         rows.append({"target": t, "n": args.n, "m": args.m,
                      "brute_force_shift": brute, "asymptotic_shift": asym})
     elif t == "moments":
-        rows.append({"target": "scaled-pass-moment", "n": args.n, "k": args.k,
-                     **_hp_columns(exact.scaled_pass_moment(args.n, args.k))})
-        rows.append({"target": "scaled-collision-moment", "n": args.n, "k": args.k,
-                     **_hp_columns(exact.scaled_collision_moment(args.n, args.k))})
+        for kind in ("pass", "collision"):
+            rows.append({"target": f"scaled-{kind}-moment", "n": args.n, "k": args.k,
+                         **_hp_columns(getattr(exact, f"scaled_{kind}_moment")(args.n, args.k))})
         rows.append({"target": "scaled-pass-variance", "n": args.n,
                      **_hp_columns(exact.scaled_pass_variance(args.n))})
     return rows, EXIT_OK
@@ -142,19 +138,19 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
     for name in ("x", "z", "t", "epsilon"):
         if not math.isfinite(getattr(args, name) or 0.0):
             raise ValueError(f"--{name} must be finite, got {name}={getattr(args, name)}")
+    if n > sys.float_info.max:  # every expansion takes sqrt(n) in doubles
+        raise ValueError(f"--n must be at most {sys.float_info.max!r}, the double range, got {n}")
     rows: list[dict] = []
     if t == "varrho":
         if args.x is None:
             raise ValueError("varrho target needs --x")
         value = asymptotics.scaled_pass_survival_expansion(n, args.x)
-        row = {"target": t, "n": n, "x": args.x, "value": value}
+        rows.append({"target": t, "n": n, "x": args.x, "value": value})
         try:  # an exact column only where x*sqrt(n) is a lattice point 0..n-1
-            reference = float(asymptotics.scaled_pass_survival(n, args.x))
+            rows[0].update(_with_reference(
+                value, float(asymptotics.scaled_pass_survival(n, args.x))))
         except ValueError:
             pass
-        else:
-            row.update(_with_reference(value, reference))
-        rows.append(row)
     elif t in ("cdf", "pmf"):
         for kind, arg in (("pass", "x"), ("collision", "z")):  # each side's lattice and option
             point = getattr(args, arg)
@@ -188,18 +184,11 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
         })
     elif t == "stats":
         stats = asymptotics.scaled_pass_stats_approx(n)
-        rows.append({
-            "target": "mean", "n": n,
-            **_with_reference(stats.mean_approx, float(exact.scaled_pass_moment(n, 1))),
-        })
-        rows.append({
-            "target": "second-moment", "n": n,
-            **_with_reference(stats.second_moment_approx, float(exact.scaled_pass_moment(n, 2))),
-        })
-        rows.append({
-            "target": "variance", "n": n,
-            **_with_reference(stats.variance_approx, float(exact.scaled_pass_variance(n))),
-        })
+        references = (exact.scaled_pass_moment(n, 1), exact.scaled_pass_moment(n, 2),
+                      exact.scaled_pass_variance(n))
+        for target, value, reference in zip(("mean", "second-moment", "variance"), stats,
+                                            references):
+            rows.append({"target": target, "n": n, **_with_reference(value, float(reference))})
     elif t == "opt-deltas":
         deltas = asymptotics.expected_opcount_deltas(n)
         exact_deltas = asymptotics.ExpectedOpDeltas.exact(n)
@@ -207,10 +196,8 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
             "target": "comparison-reduction", "n": n,
             **_with_reference(deltas.comparison_reduction, exact_deltas.comparison_reduction),
         })
-        rows.append({"target": "flag-writes-early-exit", "n": n,
-                     "value": deltas.flag_writes_early_exit})
-        rows.append({"target": "flag-writes-variant", "n": n,
-                     "value": deltas.flag_writes_variant})
+        for name in ("flag_writes_early_exit", "flag_writes_variant"):
+            rows.append({"target": name.replace("_", "-"), "n": n, "value": getattr(deltas, name)})
     elif t == "em-check":
         rows.append({
             "target": t, "n": n, "epsilon": args.epsilon,
@@ -247,7 +234,6 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
         row = _summary_row(summary)
         crit = montecarlo.ks_critical_1pct(args.trials)
         row["ks_critical_1pct"] = crit
-        row["seed"] = args.seed
         rows.append(row)
         if args.check and summary.ks_exact >= crit:
             code = EXIT_FAILURE
@@ -258,7 +244,6 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
         row = _summary_row(summary)
         row["tv_bound"] = bound
         row["within_bound"] = bool(summary.tv_distance <= montecarlo.tv_limit(bound, summary.tv_se))
-        row["seed"] = args.seed
         rows.append(row)
         if args.check and not row["within_bound"]:
             code = EXIT_FAILURE
@@ -268,11 +253,10 @@ def _cmd_simulate(args) -> tuple[list[dict], int]:
         for name in sorted(deviations):
             row = _summary_row(counters[name])
             row["expected"], row["deviation_se"] = deviations[name]
-            row["seed"] = args.seed
             rows.append(row)
             if args.check and row["deviation_se"] > montecarlo.OPCOUNT_SE:
                 code = EXIT_FAILURE
-    return rows, code
+    return [{**row, "seed": args.seed} for row in rows], code
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +291,10 @@ def emit_rows(rows: list[dict], fmt: str, path: str | None) -> None:
         import csv
         import io
 
-        header: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in header:
-                    header.append(key)
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in header])
+        buf = io.StringIO()  # csv writes None as an empty cell and a float by its repr
+        writer = csv.DictWriter(buf, dict.fromkeys(key for row in rows for key in row))
+        writer.writeheader()
+        writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -343,14 +321,6 @@ def _refuse_output_path(path: str) -> None:
 
 def _output_path_error(path: str, exc: OSError) -> ValueError:
     return ValueError(f"--output-path {path!r}: {exc.strerror or exc}")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,8 @@ LATTICE_ERRORS = [
     ("pass", 100, math.inf, "x must be finite, got x=inf"),
     ("collision", 100, math.nan, "x must be finite, got x=nan"),
     ("collision", 100, -math.inf, "x must be finite, got x=-inf"),
+    ("pass", 100, 1e308, "lattice index x*sqrt(n) = inf outside 0..99"),
+    ("collision", 100, 1e308, "lattice index x*sqrt(n) = inf outside 1..100"),
 ]
 LATTICE_FUNCTIONS = {
     "pass": (scaled_pass_survival, scaled_pass_cdf_approx, scaled_pass_pmf_approx),
@@ -155,6 +157,15 @@ def test_expansion_rejects_non_finite_x(x):
     message = f"scaled_pass_survival_expansion: x must be finite, got x={x}"
     with pytest.raises(ValueError, match=message):
         scaled_pass_survival_expansion(100, x)
+
+
+@pytest.mark.filterwarnings("ignore:.*beyond comfort zone:RuntimeWarning")
+def test_expansion_refuses_x_whose_sixth_power_overflows():
+    assert scaled_pass_survival_expansion(4, 2e51) == 0.0  # 2e51^6 is still a double
+    for x in (3e51, 1e308):
+        with pytest.raises(ValueError) as info:
+            scaled_pass_survival_expansion(4, x)
+        assert str(info.value).startswith(f"x={x} is too large: its power x^")
 
 
 def test_expansion_warns_out_of_comfort_zone():
@@ -411,6 +422,12 @@ def test_opcount_flag_writes_match_exact_expectations():
     assert deltas.flag_writes_early_exit == pytest.approx(
         expected_passes + n * (n - 1) / 4.0, abs=1e-2
     )
+
+
+def test_opcount_flag_writes_past_n_squared_in_doubles():
+    # n (n - 1) = 2^1024 - 2^512 is no double; n ((n - 1)/4) stays one
+    n = 2**512
+    assert expected_opcount_deltas(n).flag_writes_early_exit == pytest.approx(2.0**1022)
 
 
 @pytest.mark.parametrize("n", [24, 100, 10**4])

@@ -344,8 +344,8 @@ def _boundary_argvs():
     for target, n, m in itertools.product(_EXACT_TARGETS, _BOUNDARY_N, ("-1", "0", "1", "2")):
         yield ("exact", target, "--n", n, "--m", m)
     for target, n, option, value in itertools.product(
-            _APPROX_TARGETS, _BOUNDARY_N, ("--x", "--z", "--t", "--epsilon"),
-            ("nan", "inf", "-1", "0")):
+            _APPROX_TARGETS, _BOUNDARY_N + (str(2**512), str(2**1024)),
+            ("--x", "--z", "--t", "--epsilon"), ("nan", "inf", "-1", "0", "1e308")):
         yield ("approx", target, "--n", n, option, value)
     for target, kind, n, trials in itertools.product(
             ("law", "delta", "opcounts"), ("pass", "collision", "birthday", "inversion"),
