@@ -6,7 +6,9 @@ here approximates their laws and moments by expansions valid for large n;
 the exact counterparts live in `exact` and serve as oracles.
 
 Survival, CDF, PMF and moment expansions are generated from the log series of
-the product forms (`_exponent`, `_moment`); the charfn is the only closed form.
+the product forms: the survival, both CDFs and both PMFs read one exponent,
+`_survival_terms`, and the moments its Euler-Maclaurin sum (`_moment`); the
+charfn is the only closed form.
 """
 
 from __future__ import annotations
@@ -201,23 +203,18 @@ def _warn_past_comfort_zone(n: int, x: float, what: str, stacklevel: int) -> Non
                       "remainder dominates", RuntimeWarning, stacklevel=stacklevel + 1)
 
 
-def _lattice_cdf(kind: str, n: int, x: float) -> float:
-    """P{value <= x sqrt(n)} = 1 - P{value >= x sqrt(n) + 1} ~ -expm1(E), with E the generated
-    exponent one lattice step up, through n^(-1/2)."""
-    _lattice_index(kind, n, x, f"scaled_{kind}_cdf_approx")
-    # -expm1 keeps the digits near 0; 0.0 - turns E = 0 (pass side, x = 0) into 0.0, not -0.0
-    return 0.0 - math.expm1(_value(_floats(_exponent, kind, 1 - LATTICES[kind][1], 1), n, x))
-
-
-def _lattice_pmf(kind: str, n: int, x: float) -> float:
-    """P{value = x sqrt(n)} ~ -exp(E(x)) expm1(E(x + h) - E(x)), h = n^-1/2, each term's
-    step c h^j ((x + h)^a - x^a) expanded: survivals near 1 at the lattice's foot never cancel."""
-    what = f"scaled_{kind}_pmf_approx"
+def _lattice_law(kind: str, law: str, n: int, x: float) -> float:
+    """The CDF P{value <= x sqrt(n)} = 1 - P{value >= x sqrt(n) + 1} ~ -expm1(E(x) + D(x)) or
+    the PMF P{value = x sqrt(n)} ~ -exp(E(x)) expm1(D(x)), with E the `_survival_terms` and
+    D(x) = E(x + h) - E(x), h = n^-1/2, each term's step c h^j ((x + h)^a - x^a) expanded:
+    survivals near 1 at the lattice's foot never cancel."""
+    what = f"scaled_{kind}_{law}_approx"
     _lattice_index(kind, n, x, what)
     _warn_past_comfort_zone(n, x, what, stacklevel=3)
     terms = _survival_terms(kind)
     step = [(j + i, a - i, c * math.comb(a, i)) for j, a, c in terms for i in range(1, a + 1)]
-    return -math.exp(_value(terms, n, x)) * math.expm1(_value(step, n, x))
+    e, d = _value(terms, n, x), _value(step, n, x)
+    return -math.expm1(e + d) if law == "cdf" else -math.exp(e) * math.expm1(d)
 
 
 def scaled_pass_survival(n: int, x: float) -> HPReal:
@@ -260,32 +257,25 @@ def _expansion_slopes(n: int, x: float) -> tuple[float, float]:
 
 
 def scaled_pass_cdf_approx(n: int, x: float) -> float:
-    """F_X(x) = 1 - P{X >= x + 1/sqrt n} ~ -expm1(E) on the lattice, with E
-    the generated pass exponent at m = x sqrt(n) + 1 through n^(-1/2).
-
-    Remainder is of order x^4/n.  The topmost lattice point (passes = 1)
-    extrapolates the formula beyond its derivation range.  At the lattice's
-    foot the relative error is of order 1: every term of E vanishes at x = 0,
-    where the true log-survival is -1/n, so n = 10^18, x = 0 gives 0.0 against
-    1e-18.  The claim ORD-CDF-PASS pins this truncation order.
-    """
-    return _lattice_cdf("pass", n, x)
+    """F_X(x) = 1 - P{X >= x + 1/sqrt n} on the lattice, by the generated survival one
+    lattice step up; at x = 0, ~1/n."""
+    return _lattice_law("pass", "cdf", n, x)
 
 
 def scaled_pass_pmf_approx(n: int, x: float) -> float:
     """P{X = x} ~ P{X >= x} - P{X >= x + 1/sqrt n}, by the generated survival."""
-    return _lattice_pmf("pass", n, x)
+    return _lattice_law("pass", "pmf", n, x)
 
 
 def scaled_collision_cdf_approx(n: int, z: float) -> float:
-    """F_Z(z) ~ -expm1(E) on the lattice, with E the generated collision
-    exponent at m = z sqrt(n) through n^(-1/2)."""
-    return _lattice_cdf("collision", n, z)
+    """F_Z(z) = 1 - P{Z >= z + 1/sqrt n} on the lattice, by the generated survival one
+    lattice step up."""
+    return _lattice_law("collision", "cdf", n, z)
 
 
 def scaled_collision_pmf_approx(n: int, z: float) -> float:
     """P{Z = z} ~ P{Z >= z} - P{Z >= z + 1/sqrt n}, by the generated survival."""
-    return _lattice_pmf("collision", n, z)
+    return _lattice_law("collision", "pmf", n, z)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,32 @@ def _cmd_exact(args) -> tuple[list[dict], int]:
 # ---------------------------------------------------------------------------
 
 
-def _with_reference(value: float, reference: float) -> dict:
-    return {
-        "value": value,
-        "exact": reference,
-        "abs_error": abs(value - reference),
-        "rel_error": abs(value - reference) / abs(reference) if reference else math.inf,
-    }
+def _with_reference(value, reference) -> dict:
+    """The columns of an expansion's value, with the exact ``reference()`` and the errors
+    beside them where the exact form answers.  Called after the expansion has checked the
+    arguments, so a ValueError (no lattice point, or n >= 2^53 for a survival walk) or a
+    ResourceBoundError (a product walk past its bound) is the exact form refusing: the
+    row keeps the value alone."""
+    try:
+        ref = reference()
+    except ValueError:
+        ref = None
+    except Exception as exc:
+        from .sorters import ResourceBoundError  # loaded already if one was raised
+
+        if not isinstance(exc, ResourceBoundError):
+            raise
+        ref = None
+    if isinstance(value, complex):
+        row = {"value_re": value.real, "value_im": value.imag}
+        if ref is not None:
+            row.update(exact_re=ref.real, exact_im=ref.imag, abs_error=abs(value - ref))
+        return row
+    if ref is None:
+        return {"value": value}
+    ref = float(ref)
+    return {"value": value, "exact": ref, "abs_error": abs(value - ref),
+            "rel_error": abs(value - ref) / abs(ref) if ref else math.inf}
 
 
 def _cmd_approx(args) -> tuple[list[dict], int]:
@@ -144,13 +163,9 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
     if t == "varrho":
         if args.x is None:
             raise ValueError("varrho target needs --x")
-        value = asymptotics.scaled_pass_survival_expansion(n, args.x)
-        rows.append({"target": t, "n": n, "x": args.x, "value": value})
-        try:  # an exact column only where x*sqrt(n) is a lattice point 0..n-1
-            rows[0].update(_with_reference(
-                value, float(asymptotics.scaled_pass_survival(n, args.x))))
-        except ValueError:
-            pass
+        rows.append({"target": t, "n": n, "x": args.x, **_with_reference(
+            asymptotics.scaled_pass_survival_expansion(n, args.x),
+            lambda: asymptotics.scaled_pass_survival(n, args.x))})
     elif t in ("cdf", "pmf"):
         for kind, arg in (("pass", "x"), ("collision", "z")):  # each side's lattice and option
             point = getattr(args, arg)
@@ -160,45 +175,38 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
             what = f"scaled_{kind}_{t}_approx"
             value = getattr(asymptotics, what)(n, point)
             v = asymptotics._lattice_index(kind, n, point, what)  # n - P or C - 1
-            sf, sf_next = (exact.lattice_sf(kind, n, w) for w in (v, v + 1))
-            # differenced in HPReal: both survivals are near 1 at the lattice's foot
-            reference = float(1.0 - sf_next if t == "cdf" else sf - sf_next)
+
+            def reference():  # differenced in HPReal: both survivals are near 1 at the foot
+                sf, sf_next = (exact.lattice_sf(kind, n, w) for w in (v, v + 1))
+                return 1.0 - sf_next if t == "cdf" else sf - sf_next
+
             rows.append({"target": f"scaled-{kind}-{t}", "n": n, arg: point,
                          **_with_reference(value, reference)})
         if not rows:
             raise ValueError(f"{t} target needs --x (pass side) and/or --z (collision side)")
     elif t == "moments":
-        rows.append({
-            "target": t, "n": n, "k": args.k,
-            **_with_reference(asymptotics.scaled_pass_moment_approx(n, args.k),
-                              float(exact.scaled_pass_moment(n, args.k))),
-        })
+        rows.append({"target": t, "n": n, "k": args.k, **_with_reference(
+            asymptotics.scaled_pass_moment_approx(n, args.k),
+            lambda: exact.scaled_pass_moment(n, args.k))})
     elif t == "charfn":
-        value = asymptotics.scaled_pass_charfn_approx(n, args.t)
-        ref = exact.scaled_pass_charfn_exact(n, args.t)
-        rows.append({
-            "target": t, "n": n, "t": args.t,
-            "value_re": value.real, "value_im": value.imag,
-            "exact_re": ref.real, "exact_im": ref.imag,
-            "abs_error": abs(value - ref),
-        })
+        rows.append({"target": t, "n": n, "t": args.t, **_with_reference(
+            asymptotics.scaled_pass_charfn_approx(n, args.t),
+            lambda: exact.scaled_pass_charfn_exact(n, args.t))})
     elif t == "stats":
         stats = asymptotics.scaled_pass_stats_approx(n)
-        references = (exact.scaled_pass_moment(n, 1), exact.scaled_pass_moment(n, 2),
-                      exact.scaled_pass_variance(n))
+        references = (lambda: exact.scaled_pass_moment(n, 1),
+                      lambda: exact.scaled_pass_moment(n, 2), lambda: exact.scaled_pass_variance(n))
         for target, value, reference in zip(("mean", "second-moment", "variance"), stats,
                                             references):
-            rows.append({"target": target, "n": n, **_with_reference(value, float(reference))})
+            rows.append({"target": target, "n": n, **_with_reference(value, reference)})
     elif t == "opt-deltas":
         deltas = asymptotics.expected_opcount_deltas(n)
-        exact_deltas = asymptotics.ExpectedOpDeltas.exact(n)
-        rows.append({
-            "target": "comparison-reduction", "n": n,
-            **_with_reference(deltas.comparison_reduction, exact_deltas.comparison_reduction),
-        })
+        rows.append({"target": "comparison-reduction", "n": n, **_with_reference(
+            deltas.comparison_reduction,
+            lambda: asymptotics.ExpectedOpDeltas.exact(n).comparison_reduction)})
         for name in ("flag_writes_early_exit", "flag_writes_variant"):
             rows.append({"target": name.replace("_", "-"), "n": n, "value": getattr(deltas, name)})
-    elif t == "em-check":
+    elif t == "em-check":  # no reference column: the residual is exact minus expansion
         rows.append({
             "target": t, "n": n, "epsilon": args.epsilon,
             "residual": asymptotics.euler_maclaurin_residual(n, args.epsilon),

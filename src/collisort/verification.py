@@ -250,16 +250,17 @@ def suite_asymptotic_orders() -> list[ClaimResult]:
                       f"ratios {r1:.1f}, {r2:.1f}", "[16, 64]",
                       "survival expansion error per n quadrupling at x=1"))
 
-    for kind, tag, cdf_approx in (("pass", "ORD-CDF-PASS", asymptotics.scaled_pass_cdf_approx),
-                                  ("collision", "ORD-CDF-COLL",
-                                   asymptotics.scaled_collision_cdf_approx)):
+    for kind, tag in (("pass", "ORD-CDF-PASS"), ("collision", "ORD-CDF-COLL")):
+        # F = 1 - exp(E) by the generated exponent one lattice step up, through n^(-1/2)
+        terms = asymptotics._floats(asymptotics._exponent, kind, 1 - exact.LATTICES[kind][1], 1)
         ratios = []
         for pair in ((500, 1000), (1000, 2000)):
             errs = []
             for n in pair:
                 v = round(math.sqrt(n))  # lattice value nearest x = 1
                 truth = 1.0 - float(exact.lattice_sf(kind, n, v + 1))
-                errs.append(abs(cdf_approx(n, v / math.sqrt(n)) - truth))
+                errs.append(abs(-math.expm1(asymptotics._value(terms, n, v / math.sqrt(n)))
+                                - truth))
             ratios.append(errs[0] / errs[1])
         ok = all(1.5 <= r <= 3.0 for r in ratios)
         out.append(_check(tag, ok, f"ratios {ratios[0]:.2f}, {ratios[1]:.2f}", "[1.5, 3]",

@@ -169,9 +169,9 @@ def test_expansion_refuses_x_whose_sixth_power_overflows():
 
 
 def test_expansion_warns_out_of_comfort_zone():
-    # 2 n^(1/6) = 4.309 at n = 100; both PMFs drop the same h^5 x^7 term as the survival
-    for fn in (scaled_pass_survival_expansion, scaled_pass_pmf_approx,
-               scaled_collision_pmf_approx):
+    # 2 n^(1/6) = 4.309 at n = 100; the CDFs and PMFs drop the same h^5 x^7 term as the survival
+    for fn in (scaled_pass_survival_expansion, scaled_pass_cdf_approx, scaled_pass_pmf_approx,
+               scaled_collision_cdf_approx, scaled_collision_pmf_approx):
         message = f"^{fn.__name__}: x=6.0 beyond comfort zone"
         with pytest.warns(RuntimeWarning, match=message) as seen:
             fn(100, 6.0)
@@ -185,8 +185,9 @@ def test_expansion_warns_out_of_comfort_zone():
 
 
 def test_pass_cdf_approx_at_zero():
-    got = scaled_pass_cdf_approx(10**4, 0.0)
-    assert (got, math.copysign(1.0, got)) == (0.0, 1.0)  # 0.0, not -0.0
+    # F_X(0) = 1 - S_1 = 1/n, from the survival's -1/n term one lattice step up
+    for n in (10**4, 10**12, 10**18):
+        assert scaled_pass_cdf_approx(n, 0.0) == pytest.approx(1 / n, rel=1e-12, abs=0.0)
 
 
 def test_pass_cdf_approx_accuracy():
@@ -210,19 +211,23 @@ def test_pass_cdf_approx_off_lattice():
         scaled_pass_cdf_approx(10**4, 0.005)
 
 
-@pytest.mark.parametrize("n, rel", [(10**4, 1e-6), (10**6, 1e-10)])
-@pytest.mark.parametrize("kind, pmf", [("pass", scaled_pass_pmf_approx),
-                                       ("collision", scaled_collision_pmf_approx)])
-def test_pmf_approx_is_the_exact_survival_difference(kind, pmf, n, rel):
-    # at every lattice value v = m + first with m < 4 sqrt(n), x = 0 on the
-    # pass side included, against the exact lattice pmf S_m - S_(m+1), taken
-    # in double-double: in floats two survivals near 1 cancel
+@pytest.mark.parametrize("kind, approx, n, rel", [
+    ("pass", scaled_pass_pmf_approx, 10**4, 1e-6), ("pass", scaled_pass_pmf_approx, 10**6, 1e-10),
+    ("pass", scaled_pass_cdf_approx, 10**3, 1e-6), ("pass", scaled_pass_cdf_approx, 10**6, 1e-12),
+    ("collision", scaled_collision_pmf_approx, 10**4, 1e-6),
+    ("collision", scaled_collision_pmf_approx, 10**6, 1e-10),
+    ("collision", scaled_collision_cdf_approx, 10**3, 1e-6),
+    ("collision", scaled_collision_cdf_approx, 10**6, 1e-12),
+])
+def test_pmf_approx_is_the_exact_survival_difference(kind, approx, n, rel):
+    # at every lattice value v = m + first with m < 4 sqrt(n), x = 0 on the pass
+    # side included, against the exact lattice pmf S_m - S_(m+1) or cdf 1 - S_(m+1),
+    # taken in double-double: in floats two survivals near 1 cancel
     sequence, first = exact.LATTICES[kind]
-    sq = math.isqrt(n)
-    survival = [s for _, s in itertools.islice(sequence(n), 4 * sq + 1)]
-    for m in range(4 * sq):
-        ref = float(survival[m] - survival[m + 1])
-        assert pmf(n, (m + first) / sq) == pytest.approx(ref, rel=rel, abs=0.0)
+    survival = [s for _, s in itertools.islice(sequence(n), 4 * math.isqrt(n) + 1)]
+    for m in range(4 * math.isqrt(n)):
+        ref = float((1.0 if "cdf" in approx.__name__ else survival[m]) - survival[m + 1])
+        assert approx(n, (m + first) / math.sqrt(n)) == pytest.approx(ref, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [10**12, 10**18])
@@ -270,19 +275,6 @@ def test_collision_cdf_approx_headline_point():
     got = scaled_collision_cdf_approx(365, z)
     ref = 1.0 - float(exact.collision_sf(365, 22))
     assert got == pytest.approx(ref, abs=6e-3)
-
-
-def test_cdf_error_halves_with_n():
-    for approx_fn, truth_fn in (
-        (scaled_pass_cdf_approx, lambda n, m: 1.0 - float(exact.pass_cdf(n, m + 1))),
-        (scaled_collision_cdf_approx, lambda n, m: 1.0 - float(exact.collision_sf(n, m))),
-    ):
-        errs = []
-        for n in (500, 1000):
-            sq = math.sqrt(n)
-            m = round(sq)
-            errs.append(abs(approx_fn(n, m / sq) - truth_fn(n, m)))
-        assert 1.5 <= errs[0] / errs[1] <= 3.0
 
 
 # -- Euler-Maclaurin ---------------------------------------------------------------
@@ -474,7 +466,8 @@ def test_generated_exponents_equal_the_closed_forms():
     assert _derivative(exponent) == g1
     assert _derivative(g1) == g2
     assert _derivative(g2) == g3
-    # CDF exponents: -(2x^3+9x)/6 at pass shift +1, -(z^3+3z)/6 for the collision
+    # the order-1 exponents one lattice step up that ORD-CDF-*'s rates pin:
+    # -(2x^3+9x)/6 at pass shift +1, -(z^3+3z)/6 for the collision
     assert asymptotics._exponent("pass", 1, 1) == _series(
         [(0, 2, -1, 2), (1, 3, -1, 3), (1, 1, -3, 2)])
     assert asymptotics._exponent("collision", 0, 1) == _series(
