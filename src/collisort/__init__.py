@@ -12,6 +12,11 @@ seeded Monte Carlo verification throughout.
 
 __version__ = "0.1.0"
 
+
+class ResourceBoundError(Exception):
+    """Raised when an enumeration, a sampler or an exact walk would exceed its size bound."""
+
+
 # Every public name, and each module's own name, resolves on first access
 # (PEP 562), so a process loads only the modules it uses: `collisort exact`
 # loads hpreal and exact (plus powersums for `series`); exact owns the
@@ -32,7 +37,7 @@ _LAZY = {name: module for module, names in {
         scaled_pass_moment_approx scaled_pass_pmf_approx scaled_pass_stats_approx
         scaled_pass_survival scaled_pass_survival_expansion""",
     "hpreal": "HPReal hp", "powersums": "", "quadrature": "",
-    "sorters": """OpCounts ResourceBoundError bubble_sort_instrumented
+    "sorters": """OpCounts bubble_sort_instrumented
         enumerate_collision_survival enumerate_pass_distribution equal_pair_count
         inversion_table pass_count pass_trace passes_match_inversion_max
         permutation_from_inversion_table""",

@@ -181,7 +181,7 @@ def _lattice_index(kind: str, n: int, x: float, what: str) -> int:
     lo = LATTICES[kind][1]
     mf = x * math.sqrt(n)
     m = round(mf) if math.isfinite(mf) else mf  # an infinite product fails the range check
-    if abs(mf - m) > 1e-8 * max(1.0, abs(mf)):
+    if abs(mf - m) > min(1e-8 * max(1.0, abs(mf)), 0.25):  # at most a quarter step
         raise ValueError(f"{what}: x*sqrt(n) = {mf} is not an integer lattice point")
     if not lo <= m < lo + n:
         raise ValueError(f"{what}: lattice index x*sqrt(n) = {m} outside {lo}..{lo + n - 1}")

@@ -6,9 +6,10 @@ printed as 25-significant-digit decimal strings next to an explicit err
 column.  All commands are deterministic given their flags; simulation
 seeds default to a fixed constant (pass --randomize for entropy seeding).
 
-Exit codes: 0 ok, 1 assertion or claim failure, 2 usage error,
-3 resource-bound error, 4 internal error (an unexpected exception; it is
-reported as {"error": ..., "kind": "internal"} and never as a failed claim).
+Exit codes: 0 ok, 1 assertion or claim failure, 2 usage error, 3 resource-bound
+error (an enumeration, a sampler, or an exact walk past 10^6 factors, refused
+before it starts), 4 internal error (an unexpected exception, reported as
+{"error": ..., "kind": "internal"} and never as a failed claim).
 `verify` reads no number, so any exception raised inside a suite, a
 ValueError or a ResourceBoundError too, is an internal error; only its
 --suite and --output-path checks give a usage error.
@@ -42,6 +43,8 @@ import json
 import math
 import os
 import sys
+
+from . import ResourceBoundError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -122,18 +125,11 @@ def _cmd_exact(args) -> tuple[list[dict], int]:
 def _with_reference(value, reference) -> dict:
     """The columns of an expansion's value, with the exact ``reference()`` and the errors
     beside them where the exact form answers.  Called after the expansion has checked the
-    arguments, so a ValueError (no lattice point, or n >= 2^53 for a survival walk) or a
-    ResourceBoundError (a product walk past its bound) is the exact form refusing: the
-    row keeps the value alone."""
+    arguments, so a ValueError (no lattice point) or a ResourceBoundError (a walk past
+    its bound) is the exact form refusing: the row keeps the value alone."""
     try:
         ref = reference()
-    except ValueError:
-        ref = None
-    except Exception as exc:
-        from .sorters import ResourceBoundError  # loaded already if one was raised
-
-        if not isinstance(exc, ResourceBoundError):
-            raise
+    except (ValueError, ResourceBoundError):
         ref = None
     if isinstance(value, complex):
         row = {"value_re": value.real, "value_im": value.imag}
@@ -177,7 +173,8 @@ def _cmd_approx(args) -> tuple[list[dict], int]:
             v = asymptotics._lattice_index(kind, n, point, what)  # n - P or C - 1
 
             def reference():  # differenced in HPReal: both survivals are near 1 at the foot
-                sf, sf_next = (exact.lattice_sf(kind, n, w) for w in (v, v + 1))
+                # v + 1 first: its longer walk is refused before v's runs
+                sf_next, sf = (exact.lattice_sf(kind, n, w) for w in (v + 1, v))
                 return 1.0 - sf_next if t == "cdf" else sf - sf_next
 
             rows.append({"target": f"scaled-{kind}-{t}", "n": n, arg: point,
@@ -418,13 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
+    except ResourceBoundError as exc:
+        print(json.dumps({"error": str(exc), "kind": "resource"}), file=sys.stderr)
+        return EXIT_RESOURCE
     except Exception as exc:
-        # a module raises ResourceBoundError only after importing sorters
-        from .sorters import ResourceBoundError
-
-        if isinstance(exc, ResourceBoundError):
-            print(json.dumps({"error": str(exc), "kind": "resource"}), file=sys.stderr)
-            return EXIT_RESOURCE
         if isinstance(exc, _Defect):
             exc = exc.__cause__
         # a crash must not read as a failed claim (exit 1)

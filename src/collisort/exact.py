@@ -23,7 +23,9 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
+from . import ResourceBoundError
 from .hpreal import _TINY, _UNDERFLOW_FLOOR, HPReal, _dd_add, _dd_div, _dd_mul, _dd_pow, hp
 
 SURVIVAL_FLOOR = 1e-40  # every survival walk stops after its first term below this
@@ -75,7 +77,7 @@ def inversion_supports(n: int, m: int) -> range:
     return range(n, n - m - 1, -1)
 
 
-# a factor-by-factor walk takes about 4.6 us a factor, so about 4.6 s at this cap
+# factors of any walk; at 3-11 us a factor one walk takes up to about 11 s
 _WALK_LIMIT = 10**6
 
 
@@ -92,11 +94,10 @@ def _no_match(supports_of, n, m: int) -> HPReal:
 
     One exact integer ratio (one rounding step) at integer supports whose
     product fits float range; otherwise, and at a real year length, factor
-    by factor, refused as a resource bound past _WALK_LIMIT factors before
-    the supports are built.  Empty product 1 at m = 0."""
+    by factor (`_ratio_factor`) in `_survival_walk` with floor 0, refused
+    as a resource bound past _WALK_LIMIT factors before the supports are
+    built.  Empty product 1 at m = 0."""
     if m > _WALK_LIMIT:  # the integer ratio needs m < _INT_RATIO_DIGITS: a factor walk
-        from .sorters import ResourceBoundError
-
         raise ResourceBoundError(
             f"product form walks m={m} factors one by one; bounded at m <= {_WALK_LIMIT} "
             "(the log-series forms take any m)")
@@ -105,9 +106,8 @@ def _no_match(supports_of, n, m: int) -> HPReal:
     if _int_ratio(supports[0], m):
         return (HPReal.from_int(math.prod(s - k for k, s in enumerate(walk, 1)))
                 / HPReal.from_int(math.prod(walk)))
-    prod = hp(1.0)
-    for k, s in enumerate(walk, 1):
-        prod = prod * (hp(s - k) / s)
+    for _, prod in _survival_walk(m + 1, lambda j: _ratio_factor(walk[j], j + 1), 0.0):
+        pass
     return prod
 
 
@@ -281,8 +281,6 @@ def optimal_shift(n: int, m: int) -> tuple[int, float]:
     cap = _WALK_LIMIT // m
     walked = sum(n - k > m and not _int_ratio(n - k, m) for k in range(min(m, cap + 1)))
     if walked > cap:
-        from .sorters import ResourceBoundError
-
         raise ResourceBoundError(
             f"optimal shift walks at least {walked * m} factors one by one (m={m} at each "
             f"of {walked} shifts); bounded at {_WALK_LIMIT} factors in all")
@@ -314,19 +312,32 @@ _ADD, _MUL, _DIV = 4, 7, 2
 _U2 = 2.0 ** -106 * (1.0 + 2.0 ** -39)
 
 
-def _survival_walk(n: float, factor):
-    """Yield (m, S_m) for m = 0, 1, ... while m < n, S_0 = 1 and S_(m+1) =
+def _ratio_factor(s, k: int) -> tuple:
+    """(s - k)/s, s > k, as a walk factor (hi, lo, count): below 2^53 one division of
+    exact doubles, count _DIV; from 2^53 on, where every double is an integer, s - k
+    in integers over s in HPReal, whose err in units of 2^-106 is the count."""
+    if s < 2.0 ** 53:
+        return (*_dd_div(float(s - k), 0.0, float(s), 0.0), _DIV)
+    q = hp(int(s) - k) / s
+    return q.hi, q.lo, q.err / q.hi * 2.0 ** 106
+
+
+def _survival_walk(n: float, factor, floor: float):
+    """Yield (m, S_m) for m = 0 and then while m < n, S_0 = 1 and S_(m+1) =
     S_m * factor(m), a positive (hi, lo) and its count, stopping after the
-    first term below SURVIVAL_FLOOR.  err is value * gamma_K plus HPReal's
-    absolute allowance, carried as its multiplication carries it.  n < 2^53
-    keeps every input exact."""
-    if not n < 2.0 ** 53:
-        raise ValueError(f"survival sequences need n < 2^53, got n={n}")
+    first term below ``floor``: the one product loop of this module, with
+    floor 0 for `_no_match`.  err is value * gamma_K plus HPReal's absolute
+    allowance, carried as its multiplication carries it.  Both laws have
+    S_m <= Q_m <= exp(-m(m+1)/2n), so a floor > 0 ends the walk within
+    sqrt(2n ln(1/floor)) + 1 factors, refused first past _WALK_LIMIT."""
+    top = (_WALK_LIMIT - 1) ** 2 / (-2.0 * math.log(floor)) if floor else math.inf
+    if n > top:
+        raise ResourceBoundError(f"survival sequence at n={n} walks up to sqrt(2n ln(1/{floor})) "
+                                 f"+ 1 factors; bounded at {_WALK_LIMIT} factors, n <= {top:.0f}")
     hi, lo, units, tiny = 1.0, 0.0, 0, 0.0
-    m = 0
-    while m < n:
+    for m in count():
         yield m, HPReal(hi, lo, hi * units * _U2 + tiny)
-        if hi < SURVIVAL_FLOOR:
+        if hi < floor or m + 1 >= n:
             return
         fhi, flo, f_units = factor(m)
         nonzero = hi != 0.0 and fhi != 0.0
@@ -335,7 +346,6 @@ def _survival_walk(n: float, factor):
         tiny = tiny * (fhi + abs(flo)) + _TINY
         if hi < _UNDERFLOW_FLOOR and nonzero:
             tiny += _UNDERFLOW_FLOOR
-        m += 1
 
 
 def pass_survival_sequence(n: int):
@@ -346,23 +356,16 @@ def pass_survival_sequence(n: int):
     on floats, with one a priori err per term.
     """
     def factor(m):  # squaring doubles a count and adds _MUL, so x^k has k (c + _MUL) - _MUL
-        hi, lo = _dd_pow(*_dd_div(float(n - m - 1), 0.0, float(n - m), 0.0), m + 1)
-        return hi, lo, (m + 1) * (_DIV + _MUL) - _MUL
+        hi, lo, units = _ratio_factor(n - m, 1)
+        return (*_dd_pow(hi, lo, m + 1), (m + 1) * (units + _MUL) - _MUL)
 
-    return _survival_walk(n, factor)
+    return _survival_walk(n, factor, SURVIVAL_FLOOR)
 
 
 def collision_survival_sequence(n: float):
-    """Yield (m, P{C_n > m+1}) for m = 0, 1, ... until below SURVIVAL_FLOOR.
-
-    Each value is the falling product prod_{k=1..m} (1 - k/n), one factor
-    (n-k)/n per step.  n may be any real year length: for float n < 2^53
-    every n - k is exact, so each factor is rounded once.
-    """
-    def factor(m):
-        return (*_dd_div(float(n - m - 1), 0.0, float(n), 0.0), _DIV)
-
-    return _survival_walk(n, factor)
+    """Yield (m, P{C_n > m+1} = prod_{k=1..m} (1 - k/n)), one factor (n-k)/n a step, for
+    m = 0, 1, ... until below SURVIVAL_FLOOR; n may be any real year length."""
+    return _survival_walk(n, lambda m: _ratio_factor(n, m + 1), SURVIVAL_FLOOR)
 
 
 # lattice of each scaled statistic: its survival sequence yields

@@ -28,9 +28,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import asymptotics, exact
+from . import ResourceBoundError, asymptotics, exact
 from .poisson_approx import MATCH_FAMILIES, match_family, stein_chen_bound, tv_distance_to_poisson
-from .sorters import VARIANTS, ResourceBoundError, opcounts_from_stats
+from .sorters import VARIANTS, opcounts_from_stats
 
 DEFAULT_SEED = 0x5EED_B0B5
 _KS_GRID_FACTOR = 7.5  # lattice scan reaches where exp(-x^2/2) < 1e-12

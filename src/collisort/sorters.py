@@ -34,6 +34,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import permutations as _permutations
 
+from . import ResourceBoundError  # defined once for the package; public here too
+
 ENUM_PASS_LIMIT = 10
 # the birthday walk keeps each tuple of m + 1 <= n + 1 values as one byte, the
 # sum of 2^v over its values v < n: (n + 1) 2^(n - 1) = 224 < 256 at n = 6
@@ -41,10 +43,6 @@ ENUM_BIRTHDAY_LIMIT = 6
 _POPCOUNT = bytes(x.bit_count() for x in range(256))  # a translate table
 
 VARIANTS = ("plain", "early_exit", "early_exit_variant")
-
-
-class ResourceBoundError(Exception):
-    """Raised when an exhaustive enumeration exceeds its size bound."""
 
 
 def check_enumeration_n(what: str, n: int, limit: int) -> None:

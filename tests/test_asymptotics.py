@@ -136,6 +136,23 @@ def test_lattice_ends_are_accepted():
             fn(n, n / math.sqrt(n))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 10**4 + 7, 10**9, 2**53 - 1, 2**53, 2**53 + 5,
+                               10**17, 2**60])
+def test_printed_lattice_points_map_back(n):
+    # x = v/sqrt(n) as printed (repr) gives x*sqrt(n) within v 2^-52 of v; a
+    # quarter-step cap keeps a point 0.3 off the lattice out at every size
+    sq = math.sqrt(n)
+    for kind, (_, first) in exact.LATTICES.items():
+        top = first + n - 1
+        values = {first, first + 1, round(sq), round(math.pi * sq), round(13.6 * sq),
+                  top if n <= 10**9 else first}
+        for v in sorted(w for w in values if first <= w <= top):
+            assert asymptotics._lattice_index(kind, n, float(repr(v / sq)), "f") == v
+            if v > 10**8:
+                with pytest.raises(ValueError, match="not an integer lattice point"):
+                    asymptotics._lattice_index(kind, n, (v + 0.3) / sq, "f")
+
+
 def test_expansion_near_exact_at_lattice():
     got = scaled_pass_survival_expansion(10**4, 1.0)
     ref = float(scaled_pass_survival(10**4, 1.0))  # 100 is an exact lattice index

@@ -249,14 +249,58 @@ def test_simulate_seed_with_randomize_is_usage_error(capsys):
     "cdf --x 1.0 --z 1.0", "pmf --x 1.0 --z 1.0",
 ])
 def test_approx_past_the_exact_forms_prints_the_expansion_alone(capsys, argv, n):
-    # the survival walks need n < 2^53 and the product walks m <= 10^6 factors; the
-    # expansions are meant for large n, so their rows stay, without an exact column
+    # the survival walks and the product walks stop at 10^6 factors; the expansions are
+    # meant for large n, so their rows stay, without an exact column.  x = 1.0 becomes
+    # the lattice point next to it: 1.0 at 2^60, 1.0000000039... at 2^53
     target, *options = argv.split()
+    point = repr(round(math.sqrt(n)) / math.sqrt(n))
+    options = [point if option == "1.0" else option for option in options]
     code, out, _ = run_cli(capsys, "approx", target, "--n", str(n), *options)
     assert code == EXIT_OK
     for row in json.loads(out)["rows"]:
         assert not {"exact", "exact_re", "abs_error", "rel_error"} & set(row), row
         assert all(math.isfinite(v) for k, v in row.items() if k.startswith("value")), row
+
+
+@pytest.mark.parametrize("argv", ["stats", "moments --k 2", "opt-deltas", "charfn --t 0.5",
+                                  "cdf --x 1.0", "pmf --x 1.0"])
+def test_approx_refuses_a_walk_before_it_starts(capsys, monkeypatch, argv):
+    # at n = 10^12 the survival walk would take about 1.4 * 10^7 factors; x = 1.0 is
+    # lattice value 10^6, whose product walk is allowed, but not that of 10^6 + 1
+    monkeypatch.setattr(exact, "_dd_mul", None)  # a TypeError (exit 4) if it walked
+    target, *options = argv.split()
+    code, out, _ = run_cli(capsys, "approx", target, "--n", str(10**12), *options)
+    assert code == EXIT_OK
+    for row in json.loads(out)["rows"]:
+        assert not {"exact", "exact_re", "abs_error", "rel_error"} & set(row), row
+
+
+@pytest.mark.parametrize("argv", [
+    "exact moments --n 1000000000000",
+    "exact moments --n 9007199254740993",  # a usage error (exit 2) while n < 2^53 was the rule
+    "approx em-check --n 1000000000000",
+    "approx em-check --n 9007199254740992",
+])
+def test_long_survival_walk_is_a_resource_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(exact, "_dd_mul", None)  # refused before any factor
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (EXIT_RESOURCE, "")
+    payload = json.loads(err)
+    assert payload["kind"] == "resource"
+    assert payload["error"].startswith("survival sequence")
+    assert "bounded at 1000000 factors" in payload["error"]
+
+
+def test_approx_off_lattice_at_a_large_n_is_a_usage_error(capsys):
+    # x*sqrt(n) = 94906265.62 lies 0.38 from lattice value 94906266; a relative
+    # allowance of 1e-8 of it took that point as x = 1.0
+    for target in ("cdf", "pmf"):
+        code, out, err = run_cli(capsys, "approx", target, "--n", str(2**53), "--x", "1.0")
+        assert (code, out) == (EXIT_USAGE, "")
+        payload = json.loads(err)
+        assert payload["kind"] == "usage"
+        assert "x*sqrt(n) = 94906265.6" in payload["error"]
+        assert "not an integer lattice point" in payload["error"]
 
 
 def test_approx_varrho_off_lattice_has_no_exact_column(capsys):
@@ -530,7 +574,6 @@ def test_exact_digits_pinned_and_err_no_larger(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     "exact moments --n 100 --k 9",
-    "exact moments --n 9007199254740993",
     "exact relerr --n 200 --m 199",
     "exact relerr --n 10 --m 9",
     "approx moments --n 100 --k 9",

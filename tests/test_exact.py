@@ -1,6 +1,8 @@
 """Exact laws: product forms, series forms, cross-estimation, moments."""
 
+import hashlib
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations, product as cartesian
@@ -9,13 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collisort import exact
+from collisort import ResourceBoundError, exact
 from collisort.exact import (
     LATTICES,
     SURVIVAL_FLOOR,
     _INT_RATIO_DIGITS,
+    _WALK_LIMIT,
     ProblemSize,
     _abel_tail,
+    _int_ratio,
     _no_match,
     birthday_supports,
     collision_sf,
@@ -36,6 +40,7 @@ from collisort.exact import (
     scaled_pass_moment,
     scaled_pass_variance,
 )
+from collisort.hpreal import HPReal, hp
 
 # exact rationals behind the headline 7-digit values, recorded from the
 # Fraction oracle so the rounding of the printed digits is itself checked
@@ -170,16 +175,67 @@ def _no_match_fraction(supports) -> Fraction:
     return prod
 
 
-@pytest.mark.parametrize("supports", [
+NESTED_SUPPORTS = [
     (9, 9, 7, 4, 4, 2),  # one integer ratio
     (10**9,) * 40,  # factor by factor: 39 * 9 digits
     (364.5,) * 23,  # a real year length, factor by factor
     (2**52, 2**40, 10**9, 1000, 7),
     (5,),  # m = 0
-])
+]
+
+
+@pytest.mark.parametrize("supports", NESTED_SUPPORTS)
 def test_no_match_on_general_nested_supports(supports):
     value = _no_match(lambda n, m: supports, supports[0], len(supports) - 1)
     assert abs(value.to_fraction() - _no_match_fraction(supports)) <= value.err
+
+
+def _hpreal_walk(supports) -> HPReal:
+    """The product factor by factor in HPReal objects, each (s - k)/s rounded in
+    doubles and charged 2^-98 a step: the reference for the walk's bits and err."""
+    prod = hp(1.0)
+    for k, s in enumerate(reversed(supports[:-1]), 1):
+        prod = prod * (hp(s - k) / s)
+    return prod
+
+
+def _walked_supports(seed: int = 38, cases: int = 60):
+    """Seeded nested supports that `_no_match` walks: integers below and above 2^53
+    (equal or falling by one), and real year lengths below and above 2^53."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        m = rng.randint(36, 60)  # m log10(s) >= 36 * 8 = 288 digits: never one integer ratio
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield (rng.randint(10**8, 2**53 - 1),) * (m + 1)
+        elif kind == 1:
+            yield (rng.randint(2**53, 2**80),) * (m + 1)
+        elif kind == 2:
+            s = rng.randint(2**53, 2**62)
+            yield tuple(range(s, s - m - 1, -1))
+        else:
+            year = rng.uniform(1e7, 2**53) if rng.random() < 0.5 else rng.uniform(2**53, 1e30)
+            yield (year,) * (m + 1)
+
+
+@pytest.mark.parametrize("supports", [*NESTED_SUPPORTS, *_walked_supports()])
+def test_no_match_walk_keeps_the_hpreal_bits_and_narrows_err(supports):
+    m = len(supports) - 1
+    value, before = _no_match(lambda n, m: supports, supports[0], m), _hpreal_walk(supports)
+    if not _int_ratio(supports[0], m):
+        # exact factor inputs: integers, and doubles below 2^53, where s - k is exact too
+        if isinstance(supports[0], int) or supports[0] < 2**53:
+            assert (value.hi, value.lo) == (before.hi, before.lo)
+        assert value.err <= before.err
+    assert abs(value.to_fraction() - _no_match_fraction(supports)) <= value.err
+
+
+def test_walked_product_counts_2_units_a_factor_below_2_53():
+    # 9 units of 2^-106 a factor (a division 2, a product 7), where 2^-98 a step was charged
+    value = collision_sf(10**6, 3000)
+    assert not _int_ratio(10**6, 3000)
+    assert value.err == pytest.approx(float(value) * 3000 * 9 * 2.0**-106, rel=1e-9)
+    assert value.err < _hpreal_walk((10**6,) * 3001).err / 50
 
 
 @pytest.mark.parametrize("call", [
@@ -189,8 +245,6 @@ def test_no_match_on_general_nested_supports(supports):
     lambda: collision_sf(2**60, 2**30),  # 2^30 supports would take 8 GiB
 ])
 def test_product_forms_refuse_a_walk_past_the_cap(monkeypatch, call):
-    from collisort.sorters import ResourceBoundError
-
     def unbuilt(n, m):
         raise AssertionError(f"built {m + 1} supports past the cap")
 
@@ -422,7 +476,8 @@ def test_relative_error_shifted_headline():
 def test_relative_error_shifted_within_err_of_fraction_oracle():
     # the shifted year length is the double n - (m-1)/3; (4, 3) needs more
     # log-series terms than exist, and (365, 22) lies beyond a log-series err
-    for n, m in ((4, 3), (365, 22)):
+    # past 2^53 the doubles n' - k round, so the walk takes them in integers
+    for n, m in ((4, 3), (365, 22), (10**17, 30), (9007199255153169, 54)):
         shifted = Fraction(n - (m - 1) / 3.0)
         product = Fraction(1)
         for k in range(1, m + 1):
@@ -461,8 +516,6 @@ def test_optimal_shift_matches_fraction_argmin_at_large_n():
 def test_optimal_shift_bounds_the_factors_its_shifts_walk(monkeypatch):
     # 40 factors take one integer ratio below year length 10^7 (40 * 7 digits = 280),
     # so at n = 10^7 + 5 the shifts k = 0..5 walk 6 * 40 = 240 factors in all
-    from collisort.sorters import ResourceBoundError
-
     n, m = 10**7 + 5, 40
     shift = optimal_shift(n, m)
     monkeypatch.setattr(exact, "_WALK_LIMIT", 240)
@@ -522,8 +575,6 @@ def test_scaled_pass_moments_against_enumeration():
 
 
 def test_scaled_pass_moment_err_bounds_oracle():
-    from collisort.hpreal import HPReal, hp
-
     for n in (5, 17, 40, 60):
         rho = [pass_cdf_fraction(n, m) for m in range(n)] + [Fraction(0)]
         for k in (1, 2):
@@ -597,6 +648,48 @@ def test_survival_terms_within_err_of_fraction(kind, n):
     # the walk stops at m = n - 1 or after its first term below the floor
     assert 1 <= len(values) <= n and min(values[:-1], default=1.0) >= SURVIVAL_FLOOR
     assert len(values) == n or values[-1] < SURVIVAL_FLOOR
+
+
+# sha256 of repr([(m, hi, lo, err), ...]) over each whole sequence, first 16 hex digits:
+# the product forms share the survival loop, and its bits must not move
+SEQUENCE_DIGESTS = [
+    (pass_survival_sequence, 10**4, 1298, "6ad8a757fe898d98"),
+    (collision_survival_sequence, 10**4, 1327, "144125c6b8dab098"),
+    (collision_survival_sequence, 365 - 21 / 3.0, 225, "5c877262bedb111d"),
+    (collision_survival_sequence, 10**4 + 0.5, 1327, "be041f831d390692"),
+]
+
+
+@pytest.mark.parametrize("sequence, n, terms, digest", SEQUENCE_DIGESTS)
+def test_survival_sequences_keep_their_bits(sequence, n, terms, digest):
+    walked = [(m, s.hi, s.lo, s.err) for m, s in sequence(n)]
+    assert len(walked) == terms
+    assert hashlib.sha256(repr(walked).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("sequence", [pass_survival_sequence, collision_survival_sequence])
+def test_survival_walk_length_bound(monkeypatch, sequence):
+    # S_m <= exp(-m(m+1)/2n) puts the walk within sqrt(2n ln 10^40) + 1 factors; with the
+    # cap at 2000 factors that allows n <= 1999^2 / (2 ln 10^40) = 21693.4
+    monkeypatch.setattr(exact, "_WALK_LIMIT", 2000)
+    *_, (m, last) = sequence(21693)
+    assert m <= 2000 and last.hi < SURVIVAL_FLOOR
+    monkeypatch.setattr(exact, "_dd_mul", None)  # refused before any factor
+    with pytest.raises(ResourceBoundError, match=r"n=21694 .* bounded at 2000 factors, n <= 21693"):
+        next(sequence(21694))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: next(pass_survival_sequence(10**12)),
+    lambda: next(collision_survival_sequence(2**53 + 0.5)),
+    lambda: scaled_pass_moment(2**53, 1),
+    lambda: scaled_collision_moment(10**12, 2),
+    lambda: scaled_pass_charfn_exact(2**60, 0.5),
+])
+def test_survival_walks_past_the_cap_are_refused(monkeypatch, call):
+    monkeypatch.setattr(exact, "_dd_mul", None)  # refused before any factor
+    with pytest.raises(ResourceBoundError, match=f"bounded at {_WALK_LIMIT} factors"):
+        call()
 
 
 @settings(deadline=None)
