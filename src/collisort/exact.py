@@ -60,11 +60,6 @@ class EstimateReport(namedtuple("EstimateReport",
 # ---------------------------------------------------------------------------
 
 
-# below this digit count the whole product fits one exact integer ratio;
-# beyond it the numerator would overflow float conversion
-_INT_RATIO_DIGITS = 280
-
-
 def birthday_supports(n: float, m: int) -> tuple:
     """Supports of the first m+1 birthday draws: n days each; n may be a real
     year length, and an integer n of any type becomes a Python int."""
@@ -77,14 +72,10 @@ def inversion_supports(n: int, m: int) -> range:
     return range(n, n - m - 1, -1)
 
 
-# factors of any walk; at 3-11 us a factor one walk takes up to about 11 s
+# factors of any product or survival walk: one walk takes up to about 11 s at 11 us
+# a factor (the pass law's survival walk), a product form under 1 s at 0.4-0.7 us
 _WALK_LIMIT = 10**6
-
-
-def _int_ratio(s, m: int) -> bool:
-    """Whether the product form of m factors over largest support s is one
-    exact integer ratio rather than a factor-by-factor walk."""
-    return bool(m) and isinstance(s, int) and m * math.log10(s) < _INT_RATIO_DIGITS
+_BITS = 160  # a product's integers are cut to their top _BITS bits past 2 _BITS
 
 
 def _no_match(supports_of, n, m: int) -> HPReal:
@@ -92,23 +83,34 @@ def _no_match(supports_of, n, m: int) -> HPReal:
     (s_0, ..., s_m) = supports_of(n, m): walked from the smallest, the draw
     on s_(m-k) misses the k values drawn before it.
 
-    One exact integer ratio (one rounding step) at integer supports whose
-    product fits float range; otherwise, and at a real year length, factor
-    by factor (`_ratio_factor`) in `_survival_walk` with floor 0, refused
-    as a resource bound past _WALK_LIMIT factors before the supports are
-    built.  Empty product 1 at m = 0."""
-    if m > _WALK_LIMIT:  # the integer ratio needs m < _INT_RATIO_DIGITS: a factor walk
+    With each support p/q in integers (q = 1 for an int, a power of 2 for a
+    double) the product is num/den, num = prod (p - k q) and den = prod p,
+    each cut to its top _BITS bits once past 2 _BITS, within 2^(1 - _BITS)
+    relative a cut.  Int division rounds hi = num/den and lo, its remainder,
+    once each (Higham, 2nd ed., 2.2), so err is 2^-105 hi plus 2^(3 - _BITS) hi
+    a cut, 5e-321 more where hi * 2^-105 is subnormal, and 0 where nothing was
+    cut or rounded.  Refused as a resource bound past _WALK_LIMIT factors
+    before the supports are built.  Empty product 1 at m = 0."""
+    if m > _WALK_LIMIT:
         raise ResourceBoundError(
             f"product form walks m={m} factors one by one; bounded at m <= {_WALK_LIMIT} "
             "(the log-series forms take any m)")
-    supports = supports_of(n, m)
-    walk = supports[-2::-1]  # s_(m-1), ..., s_0
-    if _int_ratio(supports[0], m):
-        return (HPReal.from_int(math.prod(s - k for k, s in enumerate(walk, 1)))
-                / HPReal.from_int(math.prod(walk)))
-    for _, prod in _survival_walk(m + 1, lambda j: _ratio_factor(walk[j], j + 1), 0.0):
-        pass
-    return prod
+    num = den = 1
+    shift = cuts = 0  # the product is num/den * 2^shift, within the cuts
+    for k, s in enumerate(supports_of(n, m)[-2::-1], 1):  # s_(m-1), ..., s_0
+        p, q = s.as_integer_ratio()
+        num *= p - k * q
+        den *= p
+        if num.bit_length() > 2 * _BITS:
+            num, shift, cuts = num >> (d := num.bit_length() - _BITS), shift + d, cuts + 1
+        if den.bit_length() > 2 * _BITS:
+            den, shift, cuts = den >> (d := den.bit_length() - _BITS), shift - d, cuts + 1
+    num, den = num << max(shift, 0), den << max(-shift, 0)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    rem = num * b - a * den
+    err = hi * (2.0 ** -105 + cuts * 2.0 ** (3 - _BITS)) + (_TINY if hi < 2.0 ** -917 else 0.0)
+    return HPReal(hi, rem / (den * b), err if rem or cuts else 0.0)
 
 
 def collision_sf(n: int, m: int) -> HPReal:
@@ -271,19 +273,16 @@ def optimal_shift(n: int, m: int) -> tuple[int, float]:
 
     Brute-force argmin over k in [0, m) of |collision_sf(n-k, m)/pass_cdf(n, m) - 1|,
     paired with the asymptotic value (m-1)/3.  Refused as a resource bound,
-    before any walk, when the shifts walked factor by factor would take more
-    than _WALK_LIMIT factors in all.
+    before any product, when its shifts would take more than _WALK_LIMIT
+    factors in all: m at each shift k with n - k > m.
     """
     if not 1 <= m < n:
         raise ValueError(f"needs 1 <= m < n, got m={m}, n={n}")
-    # the walked shifts are the largest year lengths, so the first _WALK_LIMIT // m + 1
-    # shifts show whether they pass the limit
-    cap = _WALK_LIMIT // m
-    walked = sum(n - k > m and not _int_ratio(n - k, m) for k in range(min(m, cap + 1)))
-    if walked > cap:
+    shifts = min(m, n - m, _WALK_LIMIT // m + 1)  # counted up to one shift past the limit
+    if shifts * m > _WALK_LIMIT:
         raise ResourceBoundError(
-            f"optimal shift walks at least {walked * m} factors one by one (m={m} at each "
-            f"of {walked} shifts); bounded at {_WALK_LIMIT} factors in all")
+            f"optimal shift walks at least {shifts * m} factors one by one (m={m} at each "
+            f"of {shifts} shifts); bounded at {_WALK_LIMIT} factors in all")
     target = pass_cdf(n, m)
     best_k = 0
     best_dev = None
@@ -313,31 +312,29 @@ _U2 = 2.0 ** -106 * (1.0 + 2.0 ** -39)
 
 
 def _ratio_factor(s, k: int) -> tuple:
-    """(s - k)/s, s > k, as a walk factor (hi, lo, count): below 2^53 one division of
-    exact doubles, count _DIV; from 2^53 on, where every double is an integer, s - k
-    in integers over s in HPReal, whose err in units of 2^-106 is the count."""
-    if s < 2.0 ** 53:
-        return (*_dd_div(float(s - k), 0.0, float(s), 0.0), _DIV)
-    q = hp(int(s) - k) / s
-    return q.hi, q.lo, q.err / q.hi * 2.0 ** 106
+    """(s - k)/s, k < s, as a walk factor (hi, lo, count): one division of exact
+    doubles, count _DIV.  s < 2^53 always, since every survival walk past
+    n = 5.4e9 is refused before its first factor."""
+    return (*_dd_div(float(s - k), 0.0, float(s), 0.0), _DIV)
 
 
-def _survival_walk(n: float, factor, floor: float):
+def _survival_walk(n: float, factor):
     """Yield (m, S_m) for m = 0 and then while m < n, S_0 = 1 and S_(m+1) =
     S_m * factor(m), a positive (hi, lo) and its count, stopping after the
-    first term below ``floor``: the one product loop of this module, with
-    floor 0 for `_no_match`.  err is value * gamma_K plus HPReal's absolute
-    allowance, carried as its multiplication carries it.  Both laws have
-    S_m <= Q_m <= exp(-m(m+1)/2n), so a floor > 0 ends the walk within
-    sqrt(2n ln(1/floor)) + 1 factors, refused first past _WALK_LIMIT."""
-    top = (_WALK_LIMIT - 1) ** 2 / (-2.0 * math.log(floor)) if floor else math.inf
+    first term below SURVIVAL_FLOOR: the loop of both survival sequences.
+    err is value * gamma_K plus HPReal's absolute allowance, carried as its
+    multiplication carries it.  Both laws have S_m <= Q_m <= exp(-m(m+1)/2n),
+    so the walk ends within sqrt(2n ln(1/SURVIVAL_FLOOR)) + 1 factors, refused
+    first past _WALK_LIMIT."""
+    top = (_WALK_LIMIT - 1) ** 2 / (-2.0 * math.log(SURVIVAL_FLOOR))
     if n > top:
-        raise ResourceBoundError(f"survival sequence at n={n} walks up to sqrt(2n ln(1/{floor})) "
-                                 f"+ 1 factors; bounded at {_WALK_LIMIT} factors, n <= {top:.0f}")
+        raise ResourceBoundError(f"survival sequence at n={n} walks up to "
+                                 f"sqrt(2n ln(1/{SURVIVAL_FLOOR})) + 1 factors; "
+                                 f"bounded at {_WALK_LIMIT} factors, n <= {top:.0f}")
     hi, lo, units, tiny = 1.0, 0.0, 0, 0.0
     for m in count():
         yield m, HPReal(hi, lo, hi * units * _U2 + tiny)
-        if hi < floor or m + 1 >= n:
+        if hi < SURVIVAL_FLOOR or m + 1 >= n:
             return
         fhi, flo, f_units = factor(m)
         nonzero = hi != 0.0 and fhi != 0.0
@@ -359,13 +356,13 @@ def pass_survival_sequence(n: int):
         hi, lo, units = _ratio_factor(n - m, 1)
         return (*_dd_pow(hi, lo, m + 1), (m + 1) * (units + _MUL) - _MUL)
 
-    return _survival_walk(n, factor, SURVIVAL_FLOOR)
+    return _survival_walk(n, factor)
 
 
 def collision_survival_sequence(n: float):
     """Yield (m, P{C_n > m+1} = prod_{k=1..m} (1 - k/n)), one factor (n-k)/n a step, for
     m = 0, 1, ... until below SURVIVAL_FLOOR; n may be any real year length."""
-    return _survival_walk(n, lambda m: _ratio_factor(n, m + 1), SURVIVAL_FLOOR)
+    return _survival_walk(n, lambda m: _ratio_factor(n, m + 1))
 
 
 # lattice of each scaled statistic: its survival sequence yields

@@ -307,8 +307,8 @@ def summarize_law_tally(kind: str, n: int, tally: np.ndarray) -> EmpiricalSummar
 
 def _summary(kind: str, n: int, m: int | None, trials: int, mean: float, var: float,
              **extra) -> EmpiricalSummary:
-    """The summary of ``trials`` samples; the mean's standard error is 0 for one trial."""
-    se = math.sqrt(var / trials) if trials > 1 else 0.0
+    """The summary of ``trials`` samples; each caller's variance, so se, is 0 at one trial."""
+    se = math.sqrt(var / trials)
     return EmpiricalSummary(kind=kind, n=n, m=m, sample_count=trials, mean=mean,
                             variance=var, se_mean=se, **extra)
 

@@ -15,11 +15,10 @@ from collisort import ResourceBoundError, exact
 from collisort.exact import (
     LATTICES,
     SURVIVAL_FLOOR,
-    _INT_RATIO_DIGITS,
+    _BITS,
     _WALK_LIMIT,
     ProblemSize,
     _abel_tail,
-    _int_ratio,
     _no_match,
     birthday_supports,
     collision_sf,
@@ -40,7 +39,7 @@ from collisort.exact import (
     scaled_pass_moment,
     scaled_pass_variance,
 )
-from collisort.hpreal import HPReal, hp
+from collisort.hpreal import _TINY, HPReal, hp
 
 # exact rationals behind the headline 7-digit values, recorded from the
 # Fraction oracle so the rounding of the printed digits is itself checked
@@ -55,7 +54,7 @@ HEADLINE_CASES = [
 
 
 def test_collision_sf_empty_and_degenerate():
-    assert float(collision_sf(365, 0)) == 1.0
+    assert float(collision_sf(365, 0)) == 1.0 and collision_sf(365, 0).err == 0.0
     assert float(collision_sf(5, 5)) == 0.0
     assert float(collision_sf(5, 9)) == 0.0
 
@@ -68,7 +67,7 @@ def test_collision_sf_headline_value():
 def test_collision_sf_tiny_enumeration():
     # all 4 outcomes of (U1, U2) on 2 days: 2 distinct
     assert collision_sf_fraction(2, 1) == Fraction(1, 2)
-    assert float(collision_sf(2, 1)) == 0.5
+    assert float(collision_sf(2, 1)) == 0.5 and collision_sf(2, 1).err == 0.0  # exact
 
 
 def test_pass_cdf_headline_value():
@@ -105,11 +104,13 @@ def test_hp_matches_fraction_within_err_up_to_60():
             assert abs(hp_p.to_fraction() - pass_cdf_fraction(n, m)) <= hp_p.err
 
 
-# past m*log10(n) = 280 both products leave the one-ratio path for a factor
-# loop; the m cap keeps each Fraction oracle near 15 ms
+# past 2 _BITS bits the products' integers are cut; the m cap keeps each Fraction
+# oracle near 15 ms; at (163, 162) and (170, 169) pass_cdf's lo is subnormal
 @settings(deadline=None)
 @example(n=365, m=22)
 @example(n=10**5, m=600)
+@example(n=163, m=162)
+@example(n=170, m=169)
 @given(n=st.integers(min_value=2, max_value=10**5), m=st.integers(min_value=0, max_value=600))
 def test_hp_matches_fraction_within_err_beyond_60(n, m):
     m = min(m, n - 1)
@@ -176,23 +177,39 @@ def _no_match_fraction(supports) -> Fraction:
 
 
 NESTED_SUPPORTS = [
-    (9, 9, 7, 4, 4, 2),  # one integer ratio
-    (10**9,) * 40,  # factor by factor: 39 * 9 digits
-    (364.5,) * 23,  # a real year length, factor by factor
+    (9, 9, 7, 4, 4, 2),  # num and den exact
+    (10**9,) * 40,  # 39 * 30 bits: num and den cut
+    (364.5,) * 23,  # a real year length: each support 729/2
     (2**52, 2**40, 10**9, 1000, 7),
     (5,),  # m = 0
 ]
 
 
-@pytest.mark.parametrize("supports", NESTED_SUPPORTS)
+def _within_one_rounding(value: HPReal, exact_value: Fraction) -> None:
+    """value within its err of the exact product, and err one rounding of it."""
+    assert abs(value.to_fraction() - exact_value) <= value.err
+    assert value.err <= 2.0**-104 * float(exact_value) + 2 * _TINY
+
+
+def _short_supports(seed: int = 39, cases: int = 40):
+    """Seeded short nested supports, m <= 12 and s below 10^6: ints, which earlier
+    versions took as one integer ratio (m log10(s) < 280), and real year lengths."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        m = rng.randint(1, 12)
+        top = rng.randint(m + 1, 10**6) if rng.random() < 0.5 else rng.uniform(m + 1.0, 1e6)
+        yield (top,) * (m + 1) if rng.random() < 0.5 else tuple(top - i for i in range(m + 1))
+
+
+@pytest.mark.parametrize("supports", [*NESTED_SUPPORTS, *_short_supports()])
 def test_no_match_on_general_nested_supports(supports):
     value = _no_match(lambda n, m: supports, supports[0], len(supports) - 1)
-    assert abs(value.to_fraction() - _no_match_fraction(supports)) <= value.err
+    _within_one_rounding(value, _no_match_fraction(supports))
 
 
 def _hpreal_walk(supports) -> HPReal:
     """The product factor by factor in HPReal objects, each (s - k)/s rounded in
-    doubles and charged 2^-98 a step: the reference for the walk's bits and err."""
+    doubles and charged 2^-98 a step: the enclosure of earlier versions' walk."""
     prod = hp(1.0)
     for k, s in enumerate(reversed(supports[:-1]), 1):
         prod = prod * (hp(s - k) / s)
@@ -200,11 +217,11 @@ def _hpreal_walk(supports) -> HPReal:
 
 
 def _walked_supports(seed: int = 38, cases: int = 60):
-    """Seeded nested supports that `_no_match` walks: integers below and above 2^53
-    (equal or falling by one), and real year lengths below and above 2^53."""
+    """Seeded nested supports whose integers `_no_match` cuts: integers below and
+    above 2^53 (equal or falling by one), and real year lengths below and above 2^53."""
     rng = random.Random(seed)
     for _ in range(cases):
-        m = rng.randint(36, 60)  # m log10(s) >= 36 * 8 = 288 digits: never one integer ratio
+        m = rng.randint(36, 60)  # m log10(s) >= 36 * 8 = 288 digits, past 2 _BITS bits
         kind = rng.randrange(4)
         if kind == 0:
             yield (rng.randint(10**8, 2**53 - 1),) * (m + 1)
@@ -218,24 +235,34 @@ def _walked_supports(seed: int = 38, cases: int = 60):
             yield (year,) * (m + 1)
 
 
+# no wider err than earlier versions' walk, and a value inside its enclosure where its
+# factor inputs are exact: integers, and doubles below 2^53, where s - k is exact too
 @pytest.mark.parametrize("supports", [*NESTED_SUPPORTS, *_walked_supports()])
 def test_no_match_walk_keeps_the_hpreal_bits_and_narrows_err(supports):
     m = len(supports) - 1
     value, before = _no_match(lambda n, m: supports, supports[0], m), _hpreal_walk(supports)
-    if not _int_ratio(supports[0], m):
-        # exact factor inputs: integers, and doubles below 2^53, where s - k is exact too
-        if isinstance(supports[0], int) or supports[0] < 2**53:
-            assert (value.hi, value.lo) == (before.hi, before.lo)
-        assert value.err <= before.err
-    assert abs(value.to_fraction() - _no_match_fraction(supports)) <= value.err
+    if isinstance(supports[0], int) or supports[0] < 2**53:
+        assert abs(value.to_fraction() - before.to_fraction()) <= before.err
+    assert value.err <= before.err
+    _within_one_rounding(value, _no_match_fraction(supports))
 
 
-def test_walked_product_counts_2_units_a_factor_below_2_53():
-    # 9 units of 2^-106 a factor (a division 2, a product 7), where 2^-98 a step was charged
+def test_long_product_err_is_one_rounding_and_its_cuts():
+    # 3000 factors of at most 20 bits, and a cut only after _BITS bits of growth: num and
+    # den are cut at most 2 * 3000 * 20 / _BITS = 750 times
     value = collision_sf(10**6, 3000)
-    assert not _int_ratio(10**6, 3000)
-    assert value.err == pytest.approx(float(value) * 3000 * 9 * 2.0**-106, rel=1e-9)
-    assert value.err < _hpreal_walk((10**6,) * 3001).err / 50
+    assert value.err <= float(value) * (2.0**-105 + 750 * 2.0**(3 - _BITS))
+    assert value.err < _hpreal_walk((10**6,) * 3001).err / 1000
+
+
+# every (n, m) at the foot of both laws up to n = 420, where pass_cdf reaches 1/420!;
+# the oracles in closed form, as in _SURVIVAL_400
+def test_no_match_within_one_rounding_at_the_foot_of_both_laws():
+    for n in range(2, 421):
+        for m in range(max(n - 15, 0), n):
+            _within_one_rounding(collision_sf(n, m), Fraction(math.perm(n - 1, m), n ** m))
+            _within_one_rounding(pass_cdf(n, m), Fraction((n - m) ** m * math.factorial(n - m),
+                                                          math.factorial(n)))
 
 
 @pytest.mark.parametrize("call", [
@@ -259,7 +286,6 @@ def test_no_match_literal_product_counts_distinct_draws():
     distinct = sum(len(set(draw)) == len(supports)
                    for draw in cartesian(*(range(s) for s in supports)))
     assert _no_match_fraction(supports) == Fraction(distinct, math.prod(supports))
-    assert (len(supports) - 1) * math.log10(9) < _INT_RATIO_DIGITS <= 39 * 9
 
 
 def test_pass_cdf_factorial_form_up_to_60():
@@ -514,15 +540,14 @@ def test_optimal_shift_matches_fraction_argmin_at_large_n():
 
 
 def test_optimal_shift_bounds_the_factors_its_shifts_walk(monkeypatch):
-    # 40 factors take one integer ratio below year length 10^7 (40 * 7 digits = 280),
-    # so at n = 10^7 + 5 the shifts k = 0..5 walk 6 * 40 = 240 factors in all
+    # every shift k with n - k > m takes m factors: all 40 shifts, 1600 factors in all
     n, m = 10**7 + 5, 40
     shift = optimal_shift(n, m)
-    monkeypatch.setattr(exact, "_WALK_LIMIT", 240)
+    monkeypatch.setattr(exact, "_WALK_LIMIT", 1600)
     assert optimal_shift(n, m) == shift
-    monkeypatch.setattr(exact, "_WALK_LIMIT", 239)
-    monkeypatch.setattr(exact, "pass_cdf", None)  # refused before any walk
-    with pytest.raises(ResourceBoundError, match=r"at least 240 factors .* 6 shifts"):
+    monkeypatch.setattr(exact, "_WALK_LIMIT", 1599)
+    monkeypatch.setattr(exact, "pass_cdf", None)  # refused before any product
+    with pytest.raises(ResourceBoundError, match=r"at least 1600 factors .* 40 shifts"):
         optimal_shift(n, m)
 
 

@@ -566,3 +566,21 @@ def test_exact_ks_values_decrease():
 def test_montecarlo_refuses_bad_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+# each batch sampler at its smallest n and one trial, and refused one below either
+@pytest.mark.parametrize("sampler, smallest, one_trial", [
+    (sample_pass_counts, 1, [1]),  # the one permutation of 1 sorts in one pass
+    (sample_collision_counts, 1, [2]),  # on one day the second draw repeats it
+    (empirical_opcounts, 2, None),
+])
+def test_batch_samplers_take_their_smallest_sizes(sampler, smallest, one_trial):
+    out = sampler(smallest, 1, SeededStream(39, 0))
+    if one_trial is None:
+        assert [(s.sample_count, s.variance, s.se_mean) for s in out.values()] == [(1, 0.0, 0.0)] * 3
+    else:
+        assert out.tolist() == one_trial
+    message = f"need n >= {smallest} and trials >= 1"
+    for n, trials in ((smallest - 1, 1), (smallest, 0)):
+        with pytest.raises(ValueError, match=message):
+            sampler(n, trials, SeededStream(39, 0))
